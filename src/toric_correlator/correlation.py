@@ -5,15 +5,26 @@ an irreducible representation pi is
 
     c(pi) = (1/(|H||K|)) * sum over pairs (h, k) of chi_pi(h k),
 
-computed here from one classification pass over all |H|*|K| = q^2 - 1
-products. For multiplicity-one pi (everything except eta and the
-Steinberg) this equals |<v_H, v_K>|^2 for unit torus-fixed vectors, so it
-is a totally nonnegative cyclotomic number, and it must vanish whenever
-the sign epsilon(pi) is -1. The converse holds over prime fields but not
-in general: for f > 1 there are representations with epsilon = +1 whose
+computed here from the class counts of all |H|*|K| = q^2 - 1 products.
+For multiplicity-one pi (everything except eta and the Steinberg) this
+equals |<v_H, v_K>|^2 for unit torus-fixed vectors, so it is a totally
+nonnegative cyclotomic number, and it must vanish whenever the sign
+epsilon(pi) is -1. The converse holds over prime fields but not in
+general: for f > 1 there are representations with epsilon = +1 whose
 constant still vanishes, which is what the mod-p digit analysis explains.
 The sign itself is computed three independent ways (closed form, an
 average over h k_0, an average over h_0 k) which must agree.
+
+Everything that depends only on the group is computed once per group and
+memoized on the PGL2 object: the pair classification (q^2 - 1 products,
+folded through the invariant tr^2/det so that only O(q) of them are
+classified one by one), and for each torus the class multiset of its
+trace-zero products h k_0 or h_0 k (they fall into at most two classes).
+Per representation only the character values are summed against these
+class counts. The memo replaces repeated classification, not any of the
+three sign routes: each average is still taken over its own torus and
+compared with the closed form, so a wrong character value, torus or class
+still shows up as a disagreement.
 """
 
 from __future__ import annotations
@@ -27,7 +38,17 @@ from .pgl2 import PGL2, Label, Mat, mat_det, mat_mul
 
 
 def pair_class_counts(g: PGL2) -> dict[Label, int]:
-    """How many products h*k land in each conjugacy class."""
+    """How many products h*k land in each conjugacy class.
+
+    Computed once per group and memoized on it; each call returns a fresh
+    copy, so callers may mutate the result.
+    """
+    if g._pair_counts is None:
+        g._pair_counts = _classify_pairs(g)
+    return dict(g._pair_counts)
+
+
+def _classify_pairs(g: PGL2) -> dict[Label, int]:
     t = g.tower
     q = g.q
     counts = {c: 0 for c in g.classes}
@@ -35,17 +56,37 @@ def pair_class_counts(g: PGL2) -> dict[Label, int]:
     counts[("id",)] += 1
     for e in range(1, q - 1):
         counts[("split", min(e, q - 1 - e))] += 1
-    # all other k have lower-left entry nonzero, so h*k is never scalar
-    # and its class is determined by trace and determinant
-    one = t.one
+    # all other k have lower-left entry nonzero, so h*k is never scalar.
+    # Its class is then decided by x = tr^2/det alone (rescaling h*k keeps
+    # x and the class), except at trace zero, where x = 0 fits both a split
+    # and an elliptic class and the determinant decides. For h = diag(a, 1)
+    # the trace a*k00 + k11 depends only on a and the diagonal of k, so the
+    # pairs fold into multiplicities of tr^2/a and of det k per diagonal.
+    groups: dict[tuple[FqElem, FqElem], dict[FqElem, int]] = {}
     for k in g.K:
-        k00, k01, k10, k11 = k
-        if k10 is None:
+        if k[2] is None:
             continue  # identity, handled above
+        dets = groups.setdefault((k[0], k[3]), {})
         detk = mat_det(t, k)
+        dets[detk] = dets.get(detk, 0) + 1
+    by_x: dict[FqElem, int] = {}
+    for (k00, k11), dets in groups.items():
+        by_u: dict[FqElem, int] = {}
         for a in g.q_units():
             tr = t.add(t.mul(a, k00), k11)
-            counts[g.classify_trace_det(tr, t.mul(a, detk))] += 1
+            if tr is None:
+                for d, n in dets.items():
+                    counts[g.classify_trace_det(None, t.mul(a, d))] += n
+            else:
+                u = t.div(t.mul(tr, tr), a)
+                by_u[u] = by_u.get(u, 0) + 1
+        for u, nu in by_u.items():
+            for d, nd in dets.items():
+                x = t.div(u, d)
+                by_x[x] = by_x.get(x, 0) + nu * nd
+    one = t.one
+    for x, n in by_x.items():
+        counts[g.classify_trace_det(one, t.inv(x))] += n
     if sum(counts.values()) != q * q - 1:
         raise ConsistencyError("pair classification lost mass")
     return counts
@@ -79,32 +120,49 @@ def epsilon_closed(g: PGL2, rep: Label) -> int | None:
     return None
 
 
-def _sign_average(g: PGL2, rep: Label, dets: list[FqElem]) -> int:
-    """Average of chi_rep over trace-zero elements with given determinants."""
+def _sign_average(g: PGL2, rep: Label, classes: dict[Label, int]) -> int:
+    """Average of chi_rep over a multiset of trace-zero classes."""
     kk = g.q**2 - 1
     total: dict[int, int] = {}
-    for d in dets:
-        for e, c in g.char_counter(rep, g.classify_trace_det(None, d)).items():
-            total[e] = total.get(e, 0) + c
-    val = (CycNum.from_counter(kk, total) / len(dets)).as_rational()
+    for cls, n in classes.items():
+        for e, c in g.char_counter(rep, cls).items():
+            total[e] = total.get(e, 0) + n * c
+    val = (CycNum.from_counter(kk, total) / sum(classes.values())).as_rational()
     if val is None or val not in (1, -1):
         raise ConsistencyError(f"sign average for {rep} is not a sign: {val}")
     return int(val)
 
 
+def _trace_zero_classes(g: PGL2, torus: str) -> dict[Label, int]:
+    """Class multiset of h k_0 over h in H (torus "H") or of h_0 k over k
+    in K (torus "K"), memoized on the group.
+
+    Every element is trace zero, so only its determinant matters.
+    """
+    out = g._sign_classes.get(torus)
+    if out is None:
+        t = g.tower
+        if torus == "H":
+            # h k_0 = [[0, a*alpha], [1, 0]]: trace 0, det -a*alpha
+            dets = [t.neg(t.mul(a, g.alpha)) for a in g.q_units()]
+        else:
+            dets = [t.neg(mat_det(t, k)) for k in g.K]
+        out = {}
+        for d in dets:
+            cls = g.classify_trace_det(None, d)
+            out[cls] = out.get(cls, 0) + 1
+        g._sign_classes[torus] = out
+    return out
+
+
 def epsilon_h_average(g: PGL2, rep: Label) -> int:
     """epsilon via (1/|H|) sum over h of chi(h k_0)."""
-    t = g.tower
-    # h k_0 = [[0, a*alpha], [1, 0]]: trace 0, det -a*alpha
-    dets = [t.neg(t.mul(a, g.alpha)) for a in g.q_units()]
-    return _sign_average(g, rep, dets)
+    return _sign_average(g, rep, _trace_zero_classes(g, "H"))
 
 
 def epsilon_k_average(g: PGL2, rep: Label) -> int:
     """epsilon via (1/|K|) sum over k of chi(h_0 k)."""
-    t = g.tower
-    dets = [t.neg(mat_det(t, k)) for k in g.K]
-    return _sign_average(g, rep, dets)
+    return _sign_average(g, rep, _trace_zero_classes(g, "K"))
 
 
 def epsilon(g: PGL2, rep: Label) -> int | None:

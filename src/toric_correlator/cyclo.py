@@ -26,6 +26,8 @@ _FACTOR_CACHE: dict[tuple[int, int, int], list[list[int]]] = {}
 
 DEFAULT_CONDUCTOR_CAP = 200_000
 
+_ZERO = Fraction(0)  # shared by every zero coefficient; Fractions are immutable
+
 
 def _zmul(a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
@@ -82,6 +84,9 @@ class CycRing:
         self.k = k
         self.phi_poly = cyclotomic_poly(k)
         self.deg = len(self.phi_poly) - 1
+        # Phi_k divides S = 1 + X^m + X^2m + ... + X^((p-1)m) for m = k/p,
+        # p the least prime factor of k; reduce_vector folds mod S first
+        self._fold_step = k // min(gfpoly.factorint(k)) if k > 1 else None
         # rows[e] = X^e reduced mod Phi_k; grown on demand
         self._rows: list[tuple[int, ...]] = [
             tuple(1 if i == e else 0 for i in range(self.deg))
@@ -111,21 +116,38 @@ class CycRing:
         return self._rows[e]
 
     def reduce_vector(self, vec: list) -> tuple[Fraction, ...]:
-        """Reduce a coefficient vector of length <= k to the basis."""
-        out = [Fraction(c) for c in vec[: self.deg]]
-        out += [Fraction(0)] * (self.deg - len(out))
-        for e in range(self.deg, len(vec)):
-            c = vec[e]
+        """Reduce a coefficient vector of length <= k to the basis.
+
+        The reduction runs in the entries' own type, so an int vector is
+        reduced in integers; only the final coefficients become Fractions.
+        Entries at or above (p-1)m first fold down mod S, where X^((p-1)m)
+        = -(1 + X^m + ... + X^((p-2)m)) costs p - 1 updates per entry; the
+        rest of the way to degree phi(k) uses the rows X^e mod Phi_k.
+        """
+        deg = self.deg
+        out = list(vec)
+        m = self._fold_step
+        if m is not None:
+            top = self.k - m
+            for e in range(len(out) - 1, top - 1, -1):
+                c = out[e]
+                if c:
+                    for i in range(e - top, e - m + 1, m):
+                        out[i] -= c
+            del out[top:]
+        high = out[deg:]
+        del out[deg:]
+        out += [0] * (deg - len(out))
+        for e, c in enumerate(high, deg):
             if c:
-                r = self.row(e)
-                for i in range(self.deg):
-                    if r[i]:
-                        out[i] += c * r[i]
-        return tuple(out)
+                for i, r in enumerate(self.row(e)):
+                    if r:
+                        out[i] += c * r
+        return tuple([Fraction(c) if c else _ZERO for c in out])
 
     def embed(self, k_small: int, coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         step = self.k // k_small
-        vec = [Fraction(0)] * self.k
+        vec = [0] * self.k
         for i, c in enumerate(coeffs):
             if c:
                 vec[i * step] += c
@@ -135,7 +157,7 @@ class CycRing:
         self, a: tuple[Fraction, ...], b: tuple[Fraction, ...]
     ) -> tuple[Fraction, ...]:
         k = self.k
-        vec = [Fraction(0)] * k
+        vec = [0] * k
         for i, ci in enumerate(a):
             if ci:
                 for j, cj in enumerate(b):
@@ -168,13 +190,15 @@ class CycNum:
 
         The conductor drops by the gcd of k with the exponent support, so
         sums of a few roots of unity stay in small fields regardless of k.
+        Counter values are ints or Fractions; they are summed and reduced
+        in the type given, so integer counters stay in integer arithmetic
+        until the final coefficients are built.
         """
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         for e, c in counter.items():
-            c = Fraction(c)
             if c:
                 e %= k
-                clean[e] = clean.get(e, Fraction(0)) + c
+                clean[e] = clean.get(e, 0) + c
         clean = {e: c for e, c in clean.items() if c}
         if not clean:
             return CycNum.rational(0)
@@ -183,12 +207,12 @@ class CycNum:
         if k2 == 1:
             return CycNum.rational(sum(clean.values()))
         if k2 == 2:
-            total = Fraction(0)
+            total = 0
             for e, c in clean.items():
                 total += c if (e // g) % 2 == 0 else -c
             return CycNum.rational(total)
         ring = CycRing.get(k2)
-        vec = [Fraction(0)] * k2
+        vec = [0] * k2
         for e, c in clean.items():
             vec[e // g] += c
         return CycNum._make(k2, ring.reduce_vector(vec))
@@ -249,10 +273,10 @@ class CycNum:
             return NotImplemented
         if other.k == 1:
             c = other.coeffs[0]
-            return CycNum._make(self.k, tuple(x * c for x in self.coeffs))
+            return CycNum._make(self.k, tuple([x * c if x else x for x in self.coeffs]))
         if self.k == 1:
             c = self.coeffs[0]
-            return CycNum._make(other.k, tuple(x * c for x in other.coeffs))
+            return CycNum._make(other.k, tuple([x * c if x else x for x in other.coeffs]))
         kk, va, vb = CycNum._pair(self, other)
         return CycNum._make(kk, CycRing.get(kk).mul(va, vb))
 

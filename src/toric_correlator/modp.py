@@ -77,10 +77,7 @@ def distinguished_handle(g: PGL2, conductor: int) -> PrimeIdealHandle:
 
 def root_relabel_map(g: PGL2, conductor: int) -> dict[tuple[int, ...], int]:
     """factor -> least unit exponent a with factor(gen^a) = 0 in the tower."""
-    cache = getattr(g, "_relabel_cache", None)
-    if cache is None:
-        cache = {}
-        g._relabel_cache = cache
+    cache = g._relabel_cache
     out = cache.get(conductor)
     if out is not None:
         return out

@@ -95,8 +95,12 @@ class PGL2:
         self.order = self.q * (self.q**2 - 1)
         self._init_classes()
         self._init_tori()
+        # per-group memo state, freed with the group
         self._value_cache: dict[tuple[Label, Label], CycNum] = {}
         self._invdim_cache: dict[Label, tuple[int, int]] = {}
+        self._pair_counts: dict[Label, int] | None = None
+        self._sign_classes: dict[str, dict[Label, int]] = {}
+        self._relabel_cache: dict[int, dict[tuple[int, ...], int]] = {}
 
     # -- classes ----------------------------------------------------------
 

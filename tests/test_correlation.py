@@ -15,7 +15,12 @@ from toric_correlator import (
     regular_identity,
     tensor_identity,
 )
-from toric_correlator.correlation import unipotent_pair_report
+from toric_correlator.correlation import (
+    epsilon_h_average,
+    epsilon_k_average,
+    unipotent_pair_report,
+)
+from toric_correlator.pgl2 import mat_mul
 
 
 # frozen exact constants for PGL2(F_5), computed once and pinned
@@ -113,6 +118,58 @@ def test_sign_criterion_one_directional(g5, g7, g9, g25):
 def test_pair_class_counts_total(g7):
     counts = pair_class_counts(g7)
     assert sum(counts.values()) == (g7.q - 1) * (g7.q + 1)
+
+
+def test_pair_class_counts_mutation_does_not_leak(g7):
+    # the classification is memoized on the group, and the conftest groups
+    # are shared by every test: a caller mutating its copy must not reach
+    # later callers
+    first = pair_class_counts(g7)
+    want = dict(first)
+    values = {rep: corr_constant(g7, rep) for rep in g7.reps()}
+    first[("id",)] += 100
+    first[("unip",)] = -1
+    del first[("ell", 1)]
+    second = pair_class_counts(g7)
+    assert second == want and second is not first
+    second.clear()
+    assert pair_class_counts(g7) == want
+    for rep, val in values.items():
+        assert corr_constant(g7, rep) == val
+    regular_identity(g7)
+
+
+@pytest.mark.parametrize("p, f", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_pair_class_counts_match_per_product_classification(p, f):
+    g = PGL2(p, f)
+    t = g.tower
+    want = {c: 0 for c in g.classes}
+    for h in g.H:
+        for k in g.K:
+            cls = g.classify(mat_mul(t, h, k))
+            want[cls] += 1
+    assert pair_class_counts(g) == want
+
+
+def _brute_sign_average(g, rep, mats):
+    total = sum((g.char_value(rep, g.classify(m)) for m in mats), CycNum.rational(0))
+    return (total / len(mats)).as_rational()
+
+
+@pytest.mark.parametrize("p, f", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_sign_averages_match_per_element_sum(p, f):
+    # the averages sum class counts; here every product h k_0 and h_0 k is
+    # formed as a matrix and classified on its own
+    g = PGL2(p, f)
+    t = g.tower
+    hk0 = [mat_mul(t, h, g.k0) for h in g.H]
+    h0k = [mat_mul(t, g.h0, k) for k in g.K]
+    assert len(hk0) == g.q - 1 and len(h0k) == g.q + 1
+    for rep in g.reps():
+        if epsilon_closed(g, rep) is None:
+            continue
+        assert epsilon_h_average(g, rep) == _brute_sign_average(g, rep, hk0)
+        assert epsilon_k_average(g, rep) == _brute_sign_average(g, rep, h0k)
 
 
 def test_rep_value_independent_of_counts_argument(g5):

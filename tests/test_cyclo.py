@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from toric_correlator import (
     CycNum,
+    CycRing,
     PrimeIdealHandle,
     cyclotomic_poly,
     factor_cyclotomic_mod_p,
@@ -108,6 +109,62 @@ def test_abs2_is_real_and_nonnegative(a):
     z = n.to_complex()
     assert abs(z.imag) < 1e-9 and z.real > -1e-9
     assert a.conj().conj() == a
+
+
+# (k, step): exponents are multiples of step, so the gcd-reduced
+# conductor divides k // step; the cases reach reduced conductors 1, 2 and
+# larger ones
+FROM_COUNTER_CASES = [(12, 12), (10, 5), (12, 6), (12, 4), (30, 1), (24, 3), (7, 1)]
+
+
+@pytest.mark.parametrize("k, step", FROM_COUNTER_CASES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_from_counter_int_matches_fraction(k, step, data):
+    # exponents may be negative or >= k; a cancelling pair e, e + k is
+    # added on top, so entries that vanish after folding mod k occur too
+    counter = data.draw(
+        st.dictionaries(
+            st.integers(-3 * k, 3 * k).map(lambda e: e * step),
+            st.integers(-5, 5),
+            max_size=8,
+        )
+    )
+    e = data.draw(st.integers(-k, k)) * step
+    c = data.draw(st.integers(1, 4))
+    counter[e] = counter.get(e, 0) + c
+    counter[e + k] = counter.get(e + k, 0) - c
+    z = CycNum.from_counter(k, counter)
+    zf = CycNum.from_counter(k, {e: Fraction(c) for e, c in counter.items()})
+    assert z == zf
+    assert (k // step) % z.k == 0
+    assert all(type(c) is Fraction for c in z.coeffs)
+    assert z.to_json_dict()["coeffs"] == zf.to_json_dict()["coeffs"]
+    want = sum(c * cmath.exp(2j * cmath.pi * e / k) for e, c in counter.items())
+    assert cmath.isclose(z.to_complex(), want, abs_tol=1e-9)
+
+
+def _row_reduce(ring, vec):
+    """Reference reduction: every entry at or above deg by its row X^e."""
+    out = [Fraction(c) for c in vec[: ring.deg]]
+    out += [Fraction(0)] * (ring.deg - len(out))
+    for e in range(ring.deg, len(vec)):
+        for i, r in enumerate(ring.row(e)):
+            out[i] += vec[e] * r
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 9, 12, 16, 30, 49, 97, 105, 192, 194])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_reduce_vector_matches_row_reduction(k, data):
+    # reduce_vector folds mod 1 + X^m + ... + X^((p-1)m) before using rows
+    ring = CycRing.get(k)
+    entry = st.one_of(st.integers(-10**20, 10**20), small_rat)
+    vec = data.draw(st.lists(entry, max_size=k))
+    got = ring.reduce_vector(vec)
+    assert got == _row_reduce(ring, vec)
+    assert all(type(c) is Fraction for c in got)
 
 
 def test_inverse():
