@@ -51,10 +51,6 @@ class MulChar:
             raise ValueError("k2 must divide k")
         return MulChar(k2, self.j % k2)
 
-    def frobenius_twist(self, p: int) -> "MulChar":
-        """The character x -> chi(x^p)."""
-        return MulChar(self.k, self.j * p)
-
     def sign_at_neg_one(self) -> int:
         """chi(-1) as +1 or -1 (k must be even)."""
         if self.k % 2:

@@ -29,19 +29,6 @@ DEFAULT_CONDUCTOR_CAP = 200_000
 _ZERO = Fraction(0)  # shared by every zero coefficient; Fractions are immutable
 
 
-def _zmul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _zdiv_exact(a: list[int], b: list[int]) -> list[int]:
     """Exact quotient of integer polynomials (b monic up to sign)."""
     a = list(a)

@@ -29,16 +29,24 @@ The operator realizing sigma on the induced model is
                             chi(-(lam - mu)^2) f_(mu^sigma)
 
 T is checked to intertwine (T pi(g) = pi(g^sigma) T on generators), to be
-unitary, to fix v_H, and to send v_K to the conjugate-torus vector for
-alpha^sigma (scaled by -chi(1/alpha) in the cusp case). Vectors here are
-exponent counters: key -> {exponent of zeta mod Q-1: integer}, so every
-check is exact integer arithmetic with a cyclotomic fallback for sums of
-roots of unity that cancel without matching term by term.
+unitary, to satisfy T^ext = 1, to fix v_H, and to send v_K to the
+conjugate-torus vector for alpha^sigma (scaled by -chi(1/alpha) in the
+cusp case). Every entry of Ttilde is 0 or a root of unity, so its q + 2
+columns are tabulated once per operator as key -> zeta exponent, and all
+four checks read that table. check_all checks intertwining on every basis
+column and generator first. The generators include the translations u_b
+for an F_p-basis b of E, and sigma^ext fixes E, so Ttilde^ext and the Gram
+matrix Ttilde* Ttilde commute with every translation: T^ext = 1 and
+unitarity are then checked from the columns at inf and 0 alone.
+
+Vectors here are exponent counters: key -> {exponent of zeta mod Q-1:
+integer}, so every check is exact integer arithmetic with a cyclotomic
+fallback for sums of roots of unity that cancel without matching term by
+term.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -50,6 +58,10 @@ from .ps_model import INF_KEY, ZERO_KEY
 
 # key -> (zeta exponent -> integer coefficient)
 CVec = dict[int, dict[int, int]]
+# key -> zeta exponent: one root of unity per key, as in a column of Ttilde
+MVec = dict[int, int]
+# key -> (image key, zeta exponent): a monomial matrix, as a group action
+MonoMap = dict[int, tuple[int, int]]
 
 
 # -- classification ----------------------------------------------------------
@@ -145,15 +157,15 @@ def cvec_to_cyc(kk: int, v: CVec) -> dict[int, CycNum]:
 
 
 class ShintaniOperator:
-    """The sigma-twisted intertwiner on the induced model of Ps(chi^j)."""
+    """The sigma-twisted intertwiner on the induced model of Ps(chi^j).
+
+    Every entry of Ttilde is 0 or a root of unity, so its q + 2 columns are
+    tabulated once, as key -> zeta exponent, and every check reads them.
+    """
 
     def __init__(self, g: PGL2, q_base: int, j: int):
-        f0 = 0
-        qq = 1
-        while qq < q_base:
-            qq *= g.p
-            f0 += 1
-        if qq != q_base or g.f % f0:
+        f0 = _log(q_base, g.p)
+        if g.f % f0:
             raise ValueError(f"{q_base} is not a subfield size of F_{g.q}")
         self.g = g
         self.q_base = q_base
@@ -165,6 +177,7 @@ class ShintaniOperator:
         if self.bc.kind == "none":
             raise ValueError(f"chi^{j} is not a base change from F_{q_base}")
         self.n = self.ext // 2 if self.bc.kind == "cusp" else None
+        self.columns = self._tabulate()
 
     # sigma on field elements and on basis keys
     def sigma(self, x: FqElem) -> FqElem:
@@ -185,6 +198,12 @@ class ShintaniOperator:
     def all_lams(self) -> list[int]:
         return [ZERO_KEY] + list(range(self.kk))
 
+    def key_of(self, lam: FqElem) -> int:
+        return ZERO_KEY if lam is None else self.g.sub_dlog(lam)
+
+    def lam_of(self, key: int) -> FqElem:
+        return None if key == ZERO_KEY else self.g.sub_exp(key)
+
     # integer-rescaled T: equal to T in the split case and to
     # (-1)^(n-1) q^n T in the cusp case
     def t_scale(self) -> int:
@@ -192,138 +211,145 @@ class ShintaniOperator:
             return 1
         return (-1) ** (self.n - 1) * self.q_base**self.n
 
-    def t_tilde(self, vec: CVec) -> CVec:
+    def _tabulate(self) -> dict[int, MVec]:
+        """The columns of Ttilde: basis key -> (key -> zeta exponent)."""
+        keys = self.basis_keys()
+        if self.bc.kind == "split":
+            return {key: {self.sigma_key(key): 0} for key in keys}
         g = self.g
         t = g.tower
-        kk = self.kk
+        # chi(-(lam - mu)^2) depends on lam - mu alone: one table over
+        # sub_dlog(lam - mu), so the q^2 entries cost one subtraction each
+        kern = []
+        for e in range(self.kk):
+            d = g.sub_exp(e)
+            kern.append(self.chi_exp(t.neg(t.mul(d, d))))
+        lams = self.all_lams()
+        cols = {INF_KEY: dict.fromkeys(lams, 0)}
+        for key in lams:
+            lam = self.lam_of(key)
+            col = {INF_KEY: 0}
+            for mu_key in lams:
+                if mu_key != key:
+                    diff = t.sub(lam, self.lam_of(mu_key))
+                    col[self.sigma_key(mu_key)] = kern[g.sub_dlog(diff)]
+            cols[key] = col
+        return cols
+
+    def t_tilde(self, vec: CVec) -> CVec:
         out: CVec = {}
         for key, ctr in vec.items():
-            if self.bc.kind == "split":
-                _merge(out.setdefault(self.sigma_key(key), {}), ctr, 0, 1, kk)
-                continue
-            if key == INF_KEY:
-                for mu in self.all_lams():
-                    _merge(out.setdefault(mu, {}), ctr, 0, 1, kk)
-                continue
-            lam = None if key == ZERO_KEY else g.sub_exp(key)
-            _merge(out.setdefault(INF_KEY, {}), ctr, 0, 1, kk)
-            for mu_key in self.all_lams():
-                if mu_key == key:
-                    continue
-                mu = None if mu_key == ZERO_KEY else g.sub_exp(mu_key)
-                diff = t.sub(lam, mu)
-                shift = self.chi_exp(t.neg(t.mul(diff, diff)))
-                _merge(
-                    out.setdefault(self.sigma_key(mu_key), {}), ctr, shift, 1, kk
-                )
+            for k, e in self.columns[key].items():
+                _merge(out.setdefault(k, {}), ctr, e, 1, self.kk)
         return {k: v for k, v in out.items() if any(v.values())}
 
-    # generator actions, mirroring the induced-model conventions
-    def act_diag(self, a: FqElem, vec: CVec) -> CVec:
-        g = self.g
-        kk = self.kk
+    # generator actions, mirroring the induced-model conventions; each
+    # sends a basis vector to a root of unity times a basis vector, so it
+    # is a table key -> (image key, zeta exponent)
+    def diag_map(self, a: FqElem) -> MonoMap:
         ea = self.chi_exp(a)
-        out: CVec = {}
-        for key, ctr in vec.items():
-            if key == INF_KEY:
-                _merge(out.setdefault(INF_KEY, {}), ctr, ea, 1, kk)
-            else:
-                lam = None if key == ZERO_KEY else g.sub_exp(key)
-                nk = self.key_of(g.tower.mul(a, lam))
-                _merge(out.setdefault(nk, {}), ctr, -ea, 1, kk)
+        out = {INF_KEY: (INF_KEY, ea)}
+        for key in self.all_lams():
+            lam = self.g.tower.mul(a, self.lam_of(key))
+            out[key] = (self.key_of(lam), -ea % self.kk)
         return out
 
-    def act_u(self, b: FqElem, vec: CVec) -> CVec:
-        g = self.g
-        out: CVec = {}
-        for key, ctr in vec.items():
-            if key == INF_KEY:
-                nk = key
-            else:
-                lam = None if key == ZERO_KEY else g.sub_exp(key)
-                nk = self.key_of(g.tower.sub(lam, b))
-            _merge(out.setdefault(nk, {}), ctr, 0, 1, self.kk)
+    def u_map(self, b: FqElem) -> MonoMap:
+        out = {INF_KEY: (INF_KEY, 0)}
+        for key in self.all_lams():
+            out[key] = (self.key_of(self.g.tower.sub(self.lam_of(key), b)), 0)
         return out
 
-    def act_w(self, vec: CVec) -> CVec:
-        g = self.g
-        t = g.tower
-        out: CVec = {}
-        for key, ctr in vec.items():
-            if key == INF_KEY:
-                _merge(out.setdefault(ZERO_KEY, {}), ctr, 0, 1, self.kk)
-            elif key == ZERO_KEY:
-                _merge(out.setdefault(INF_KEY, {}), ctr, 0, 1, self.kk)
-            else:
-                lam = g.sub_exp(key)
-                shift = self.chi_exp(t.neg(t.mul(lam, lam)))
-                nk = self.key_of(t.inv(lam))
-                _merge(out.setdefault(nk, {}), ctr, shift, 1, self.kk)
+    def w_map(self) -> MonoMap:
+        t = self.g.tower
+        out = {INF_KEY: (ZERO_KEY, 0), ZERO_KEY: (INF_KEY, 0)}
+        for key in range(self.kk):
+            lam = self.g.sub_exp(key)
+            shift = self.chi_exp(t.neg(t.mul(lam, lam)))
+            out[key] = (self.key_of(t.inv(lam)), shift)
         return out
-
-    def key_of(self, lam: FqElem) -> int:
-        return ZERO_KEY if lam is None else self.g.sub_dlog(lam)
 
     # -- invariant checks ---------------------------------------------------
 
-    def _generators(self):
+    def _generators(self) -> list[tuple[MonoMap, MonoMap]]:
         """(action, sigma-twisted action) pairs spanning the group."""
         g = self.g
+        w = self.w_map()
         gens = [
             (
-                lambda v: self.act_diag(g.sub_exp(1), v),
-                lambda v: self.act_diag(g.sub_exp(self.q_base % self.kk), v),
+                self.diag_map(g.sub_exp(1)),
+                self.diag_map(g.sub_exp(self.q_base % self.kk)),
             ),
-            (self.act_w, self.act_w),
+            (w, w),
         ]
+        # b = gamma^0 .. gamma^(f-1) span E over F_p, so these u_b generate
+        # every translation
         for i in range(g.f):
             b = g.sub_exp(i % self.kk)
-            bs = self.sigma(b)
-            gens.append(
-                (
-                    lambda v, b=b: self.act_u(b, v),
-                    lambda v, bs=bs: self.act_u(bs, v),
-                )
-            )
+            gens.append((self.u_map(b), self.u_map(self.sigma(b))))
         return gens
 
     def intertwining_check(self) -> None:
-        """T pi(g) = pi(g^sigma) T on a generating set, raise on failure."""
-        for act, act_s in self._generators():
+        """T pi(g) = pi(g^sigma) T on every basis vector and generator,
+        raise on failure.
+
+        Each side is one root of unity per key, and zeta^a = zeta^b only
+        for a = b mod Q - 1, so comparing the key -> exponent tables is
+        exact.
+        """
+        kk = self.kk
+        cols = self.columns
+        for gen, gen_s in self._generators():
             for key in self.basis_keys():
-                vec: CVec = {key: {0: 1}}
-                lhs = self.t_tilde(act(vec))
-                rhs = act_s(self.t_tilde(vec))
-                if not cvec_equal(self.kk, lhs, rhs):
+                nk, shift = gen[key]
+                lhs = {k: (e + shift) % kk for k, e in cols[nk].items()}
+                rhs = {}
+                for k, e in cols[key].items():
+                    k2, s2 = gen_s[k]
+                    rhs[k2] = (e + s2) % kk
+                if lhs != rhs:
                     raise ConsistencyError(
                         f"intertwining fails at basis key {key}"
                     )
 
-    def unitarity_check(self) -> None:
-        """Columns of Ttilde are orthogonal with squared norm t_scale^2."""
-        cols = {k: self.t_tilde({k: {0: 1}}) for k in self.basis_keys()}
-        want_diag = self.t_scale() ** 2
-        keys = self.basis_keys()
-        for i1, k1 in enumerate(keys):
-            for k2 in keys[i1:]:
-                inner: dict[int, int] = {}
-                c1, c2 = cols[k1], cols[k2]
-                for key in set(c1) & set(c2):
-                    for e1, a1 in c1[key].items():
-                        for e2, a2 in c2[key].items():
-                            e = (e1 - e2) % self.kk
-                            inner[e] = inner.get(e, 0) + a1 * a2
-                val = CycNum.from_counter(self.kk, inner)
-                want = CycNum.rational(want_diag if k1 == k2 else 0)
-                if val != want:
-                    raise ConsistencyError(
-                        f"unitarity fails at column pair ({k1}, {k2})"
-                    )
+    def _unitarity_check(self) -> None:
+        """Columns of Ttilde are orthogonal with squared norm t_scale^2.
 
-    def t_power_check(self) -> None:
-        """T^ext is the identity (so Ttilde^ext is t_scale^ext times it)."""
+        Sound only after intertwining_check: Ttilde u_b = u_(sigma b) Ttilde
+        with u_b a permutation gives u_b* G u_b = G for the Gram matrix
+        G = Ttilde* Ttilde. The translations fix inf and act transitively
+        on the finite keys, so G[lam, mu] = G[0, mu - lam] and
+        G[inf, lam] = G[inf, 0]: G is known from (inf, inf), (inf, 0) and
+        (0, mu) for every finite mu.
+        """
+        kk = self.kk
+        cols = self.columns
+        want_diag = self.t_scale() ** 2
+        pairs = [(INF_KEY, INF_KEY), (INF_KEY, ZERO_KEY)]
+        pairs += [(ZERO_KEY, mu) for mu in self.all_lams()]
+        for k1, k2 in pairs:
+            c1, c2 = cols[k1], cols[k2]
+            inner: dict[int, int] = {}
+            for key in c1.keys() & c2.keys():
+                e = (c1[key] - c2[key]) % kk
+                inner[e] = inner.get(e, 0) + 1
+            val = CycNum.from_counter(kk, inner)
+            want = CycNum.rational(want_diag if k1 == k2 else 0)
+            if val != want:
+                raise ConsistencyError(
+                    f"unitarity fails at column pair ({k1}, {k2})"
+                )
+
+    def _t_power_check(self) -> None:
+        """T^ext is the identity (so Ttilde^ext is t_scale^ext times it).
+
+        Sound only after intertwining_check: sigma^ext fixes E, so
+        Ttilde^ext commutes with every translation u_b, which fix inf and
+        carry the column at 0 to every finite column. Columns inf and 0
+        decide the whole matrix.
+        """
         want = self.t_scale() ** self.ext
-        for key in self.basis_keys():
+        for key in (INF_KEY, ZERO_KEY):
             vec: CVec = {key: {0: 1}}
             for _ in range(self.ext):
                 vec = self.t_tilde(vec)
@@ -381,9 +407,12 @@ class ShintaniOperator:
         return model_sum(self.g, self.j)
 
     def check_all(self) -> None:
+        """Intertwining on every basis vector and generator; then, resting
+        on it, unitarity and T^ext = 1 from columns inf and 0; then the
+        effects on v_H and v_K. Raises ConsistencyError on any failure."""
         self.intertwining_check()
-        self.unitarity_check()
-        self.t_power_check()
+        self._unitarity_check()
+        self._t_power_check()
         self.effects_check()
 
 
@@ -452,13 +481,14 @@ def theorem_report(g: PGL2, q_base: int, j: int, counts=None) -> BaseChangeRepor
 
 
 def _log(q_base: int, p: int) -> int:
+    """The degree f0 with q_base = p^f0; raises unless f0 >= 1."""
     f0 = 0
     qq = 1
     while qq < q_base:
         qq *= p
         f0 += 1
-    if qq != q_base:
-        raise ValueError(f"{q_base} is not a power of {p}")
+    if f0 == 0 or qq != q_base:
+        raise ValueError(f"{q_base} is not a positive power of {p}")
     return f0
 
 

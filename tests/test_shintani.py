@@ -4,6 +4,7 @@ norm-intertwining operator, and the vanishing sign rule."""
 import pytest
 
 from toric_correlator import (
+    ConsistencyError,
     CycNum,
     PGL2,
     ShintaniOperator,
@@ -12,8 +13,11 @@ from toric_correlator import (
     eligible_exponents,
     theorem_report,
 )
-from toric_correlator.ps_model import PsModel
+from toric_correlator.ps_model import INF_KEY, ZERO_KEY, PsModel
 from toric_correlator.shintani import (
+    CVec,
+    _merge,
+    cvec_equal,
     cvec_to_cyc,
     lemma_checks,
     lemma_nonsquare_sum,
@@ -62,7 +66,7 @@ def test_operator_checks_f25(g25):
 
 
 def test_operator_matches_ps_model_action(g9):
-    # the counter-based action and the cyclotomic model must agree
+    # the monomial generator tables and the cyclotomic model must agree
     g = g9
     j = 2
     op = ShintaniOperator(g, 3, j)
@@ -70,16 +74,16 @@ def test_operator_matches_ps_model_action(g9):
     kk = g.q - 1
     a = g.sub_exp(3)
     b = g.sub_exp(5)
+    diag, u, w = op.diag_map(a), op.u_map(b), op.w_map()
     for key in op.basis_keys():
-        start_op = {key: {0: 1}}
         start_pm = {key: CycNum.rational(1)}
         pairs = [
-            (op.act_diag(a, start_op), pm.act_diag(a, start_pm)),
-            (op.act_u(b, start_op), pm.act_u(b, start_pm)),
-            (op.act_w(start_op), pm.act_w(start_pm)),
+            (diag[key], pm.act_diag(a, start_pm)),
+            (u[key], pm.act_u(b, start_pm)),
+            (w[key], pm.act_w(start_pm)),
         ]
-        for got_c, want in pairs:
-            got = cvec_to_cyc(kk, got_c)
+        for (nk, shift), want in pairs:
+            got = cvec_to_cyc(kk, {nk: {shift: 1}})
             got = {k: v for k, v in got.items() if not v.is_zero()}
             want = {k: v for k, v in want.items() if not v.is_zero()}
             assert got == want
@@ -156,3 +160,187 @@ def test_rejects_non_power_base(g9):
         ShintaniOperator(g9, 4, 2)
     with pytest.raises(ValueError):
         ShintaniOperator(g9, 9, 2)  # ext = 1 is not an extension
+
+
+def test_rejects_q_base_one(g9):
+    with pytest.raises(ValueError):
+        ShintaniOperator(g9, 1, 2)
+    with pytest.raises(ValueError):
+        theorem_report(g9, 1, 2)
+    with pytest.raises(ValueError):
+        lemma_checks(g9, 1)
+    with pytest.raises(ValueError):
+        norm_map_check(g9, 1)
+
+
+# -- references: Ttilde from field arithmetic, checks on every column -------
+
+
+def reference_t_tilde(op: ShintaniOperator, vec: CVec) -> CVec:
+    """Ttilde from its defining formula, one field computation per entry."""
+    g = op.g
+    t = g.tower
+    kk = op.kk
+    out: CVec = {}
+    for key, ctr in vec.items():
+        if op.bc.kind == "split":
+            _merge(out.setdefault(op.sigma_key(key), {}), ctr, 0, 1, kk)
+            continue
+        if key == INF_KEY:
+            for mu in op.all_lams():
+                _merge(out.setdefault(mu, {}), ctr, 0, 1, kk)
+            continue
+        lam = op.lam_of(key)
+        _merge(out.setdefault(INF_KEY, {}), ctr, 0, 1, kk)
+        for mu_key in op.all_lams():
+            if mu_key == key:
+                continue
+            diff = t.sub(lam, op.lam_of(mu_key))
+            shift = op.chi_exp(t.neg(t.mul(diff, diff)))
+            _merge(out.setdefault(op.sigma_key(mu_key), {}), ctr, shift, 1, kk)
+    return {k: v for k, v in out.items() if any(v.values())}
+
+
+def reference_unitarity(op: ShintaniOperator) -> None:
+    """Every pair of columns of Ttilde: orthogonal, squared norm t_scale^2."""
+    cols = {k: op.t_tilde({k: {0: 1}}) for k in op.basis_keys()}
+    want_diag = op.t_scale() ** 2
+    keys = op.basis_keys()
+    for i1, k1 in enumerate(keys):
+        for k2 in keys[i1:]:
+            inner: dict[int, int] = {}
+            c1, c2 = cols[k1], cols[k2]
+            for key in set(c1) & set(c2):
+                for e1, a1 in c1[key].items():
+                    for e2, a2 in c2[key].items():
+                        e = (e1 - e2) % op.kk
+                        inner[e] = inner.get(e, 0) + a1 * a2
+            val = CycNum.from_counter(op.kk, inner)
+            want = CycNum.rational(want_diag if k1 == k2 else 0)
+            if val != want:
+                raise ConsistencyError(
+                    f"unitarity fails at column pair ({k1}, {k2})"
+                )
+
+
+def reference_t_power(op: ShintaniOperator) -> None:
+    """Ttilde^ext = t_scale^ext on every basis vector."""
+    want = op.t_scale() ** op.ext
+    for key in op.basis_keys():
+        vec: CVec = {key: {0: 1}}
+        for _ in range(op.ext):
+            vec = op.t_tilde(vec)
+        if not cvec_equal(op.kk, vec, {key: {0: want}}):
+            raise ConsistencyError(f"T^ext is not scalar at key {key}")
+
+
+def _base_change_exponents(q_base: int, ext: int) -> list[int]:
+    """Every split j, and the eligible cuspidal j."""
+    big = q_base**ext - 1
+    split = [j for j in range(big) if base_change_class(q_base, ext, j).kind == "split"]
+    return split + eligible_exponents(q_base, ext)
+
+
+@pytest.mark.parametrize("p, ext", [(3, 2), (5, 2), (3, 3)])
+def test_column_checks_agree_with_all_columns(p, ext):
+    g = PGL2(p, ext)
+    js = _base_change_exponents(p, ext)
+    assert js
+    for j in js:
+        op = ShintaniOperator(g, p, j)
+        for key in op.basis_keys():
+            vec = {key: {0: 1}}
+            assert op.t_tilde(vec) == reference_t_tilde(op, vec), (j, key)
+        op.check_all()
+        reference_unitarity(op)
+        reference_t_power(op)
+
+
+def test_perturbed_kernel_entry_is_caught(g25):
+    op = ShintaniOperator(g25, 5, 4)
+    col = op.columns[ZERO_KEY]
+    key = op.sigma_key(3)
+    col[key] = (col[key] + 1) % op.kk
+    with pytest.raises(ConsistencyError):
+        op.check_all()
+    # each check sees it on its own, as the references do
+    for check in (
+        op.intertwining_check,
+        op._unitarity_check,
+        op._t_power_check,
+        lambda: reference_unitarity(op),
+        lambda: reference_t_power(op),
+    ):
+        with pytest.raises(ConsistencyError):
+            check()
+
+
+def test_rotated_operator_fails_only_t_power(g25):
+    # zeta * Ttilde still intertwines and is still unitary; only T^ext
+    # = 1 tells it apart
+    op = ShintaniOperator(g25, 5, 4)
+    for col in op.columns.values():
+        for key in col:
+            col[key] = (col[key] + 1) % op.kk
+    op.intertwining_check()
+    op._unitarity_check()
+    reference_unitarity(op)
+    with pytest.raises(ConsistencyError, match="T\\^ext"):
+        op.check_all()
+    with pytest.raises(ConsistencyError):
+        reference_t_power(op)
+
+
+def test_column_checks_read_every_entry_they_rely_on(g25):
+    # two entries of column 0 swapped: its entry multiset stays, so
+    # G[0, 0] and G[inf, 0] still hold and only some G[0, mu] fails
+    op = ShintaniOperator(g25, 5, 4)
+    col = op.columns[ZERO_KEY]
+    a = 0
+    b = next(k for k in range(op.kk) if col[k] != col[a])
+    col[a], col[b] = col[b], col[a]
+    with pytest.raises(ConsistencyError, match=r"column pair \(-1, \d+\)"):
+        op._unitarity_check()
+    # one entry of column inf moved: its norm stays, only G[inf, 0] fails
+    op = ShintaniOperator(g25, 5, 4)
+    op.columns[INF_KEY][0] = 1
+    with pytest.raises(ConsistencyError, match=r"column pair \(-2, -1\)"):
+        op._unitarity_check()
+    # one row's entries swapped between columns 0 and lam: Ttilde^2 e_inf
+    # sums every finite column, so it stays, and only column 0 fails
+    op = ShintaniOperator(g25, 5, 4)
+    cols = op.columns
+    row = 0
+    lam = next(
+        k for k in range(op.kk)
+        if row in cols[k] and cols[k][row] != cols[ZERO_KEY][row]
+    )
+    cols[lam][row], cols[ZERO_KEY][row] = cols[ZERO_KEY][row], cols[lam][row]
+    with pytest.raises(ConsistencyError, match=f"at key {ZERO_KEY}"):
+        op._t_power_check()
+
+
+def test_translations_carry_the_column_checks(g25):
+    # Ttilde pi(diag(-1, 1)) still intertwines the torus and w, is unitary
+    # and has the right ext-th power; only the translations catch it, and
+    # the column-only checks are sound only once they have passed
+    op = ShintaniOperator(g25, 5, 4)
+    d = op.diag_map(g25.sub_exp(op.kk // 2))
+    op.columns = {
+        k: {r: (e + d[k][1]) % op.kk for r, e in op.columns[d[k][0]].items()}
+        for k in op.columns
+    }
+    op._unitarity_check()
+    op._t_power_check()
+    with pytest.raises(ConsistencyError, match="intertwining"):
+        op.check_all()
+
+
+@pytest.fixture(scope="module")
+def g81():
+    return PGL2(3, 4)
+
+
+@pytest.mark.parametrize("j", eligible_exponents(9, 2))
+def test_operator_checks_9_to_81(g81, j):
+    ShintaniOperator(g81, 9, j).check_all()
