@@ -164,9 +164,7 @@ class ShintaniOperator:
     """
 
     def __init__(self, g: PGL2, q_base: int, j: int):
-        f0 = _log(q_base, g.p)
-        if g.f % f0:
-            raise ValueError(f"{q_base} is not a subfield size of F_{g.q}")
+        f0 = _log(q_base, g.p, g.f)
         self.g = g
         self.q_base = q_base
         self.f0 = f0
@@ -464,7 +462,7 @@ def theorem_report(g: PGL2, q_base: int, j: int, counts=None) -> BaseChangeRepor
     from .correlation import corr_constant
 
     big = g.q - 1
-    bc = base_change_class(q_base, g.f // _log(q_base, g.p), j)
+    bc = base_change_class(q_base, g.f // _log(q_base, g.p, g.f), j)
     eps = bc.epsilon_tau()
     if eps is None:
         raise ValueError(f"chi^{j} is not a base change from F_{q_base}")
@@ -480,8 +478,9 @@ def theorem_report(g: PGL2, q_base: int, j: int, counts=None) -> BaseChangeRepor
     return BaseChangeReport(bc, eps, vanishes, const, ok)
 
 
-def _log(q_base: int, p: int) -> int:
-    """The degree f0 with q_base = p^f0; raises unless f0 >= 1."""
+def _log(q_base: int, p: int, f: int) -> int:
+    """The degree f0 >= 1 with q_base = p^f0, so that F_(q_base) is a
+    subfield of F_(p^f); raises ValueError unless f0 exists and divides f."""
     f0 = 0
     qq = 1
     while qq < q_base:
@@ -489,6 +488,8 @@ def _log(q_base: int, p: int) -> int:
         f0 += 1
     if f0 == 0 or qq != q_base:
         raise ValueError(f"{q_base} is not a positive power of {p}")
+    if f % f0:
+        raise ValueError(f"{q_base} is not a subfield size of F_{p**f}")
     return f0
 
 
@@ -533,7 +534,7 @@ def lemma_nonsquare_sum(g: PGL2, j: int, alpha: FqElem | None = None) -> CycNum:
 def lemma_checks(g: PGL2, q_base: int) -> None:
     """The two character-sum lemmas and the Gauss-sum sign, for every
     eligible chi over E = F_(q_base^(2n)); raises on any failure."""
-    ext = g.f // _log(q_base, g.p)
+    ext = g.f // _log(q_base, g.p, g.f)
     if ext % 2:
         raise ValueError("the lemmas require an even-degree extension")
     n = ext // 2
@@ -558,7 +559,7 @@ def lemma_checks(g: PGL2, q_base: int) -> None:
 def norm_map_check(g: PGL2, q_base: int, trials: int = 50, seed: int = 0) -> None:
     """tr^2/det of the sigma-norm of a matrix over E lies in F_(q_base)."""
     t = g.tower
-    f0 = _log(q_base, g.p)
+    f0 = _log(q_base, g.p, g.f)
     ext = g.f // f0
     rng = random.Random(seed)
     checked = 0

@@ -162,15 +162,18 @@ def test_rejects_non_power_base(g9):
         ShintaniOperator(g9, 9, 2)  # ext = 1 is not an extension
 
 
-def test_rejects_q_base_one(g9):
+@pytest.mark.parametrize("p, f, q_base", [(3, 2, 1), (3, 5, 9)])
+def test_rejects_base_that_is_not_a_subfield(p, f, q_base):
+    # q_base = 1 is p^0; F_9 is not inside F_243, though 5 // 2 = 2
+    g = PGL2(p, f)
     with pytest.raises(ValueError):
-        ShintaniOperator(g9, 1, 2)
+        ShintaniOperator(g, q_base, 8)
     with pytest.raises(ValueError):
-        theorem_report(g9, 1, 2)
+        theorem_report(g, q_base, 8)
     with pytest.raises(ValueError):
-        lemma_checks(g9, 1)
+        lemma_checks(g, q_base)
     with pytest.raises(ValueError):
-        norm_map_check(g9, 1)
+        norm_map_check(g, q_base)
 
 
 # -- references: Ttilde from field arithmetic, checks on every column -------
