@@ -8,18 +8,20 @@ conductor the counter's support allows (gcd reduction), which keeps the
 working conductor tiny even when characters are defined modulo q^2 - 1.
 
 The module also provides the reduction of a CycNum at a prime ideal above
-p, presented as an irreducible factor of Phi_k mod p; the image lives in
-F_p[X]/(factor) and is returned as a plain coefficient list.
+p, presented by a primitive k-th root of unity in a field tower; the
+image is a tower element, and the root's minimal polynomial is the
+irreducible factor of Phi_k mod p that names the prime.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gfpoly
-from .fields import ConsistencyError
+from .fields import ConsistencyError, FieldTower, FqElem
 
 _PHI_CACHE: dict[int, list[int]] = {}
 _FACTOR_CACHE: dict[tuple[int, int, int], list[list[int]]] = {}
@@ -29,35 +31,38 @@ DEFAULT_CONDUCTOR_CAP = 200_000
 _ZERO = Fraction(0)  # shared by every zero coefficient; Fractions are immutable
 
 
-def _zdiv_exact(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient of integer polynomials (b monic up to sign)."""
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        shift = len(a) - len(b)
-        c, r = divmod(a[-1], b[-1])
-        if r:
-            raise ArithmeticError("division is not exact")
-        q[shift] = c
-        for i, cb in enumerate(b):
-            a[shift + i] -= c * cb
-        while a and a[-1] == 0:
-            a.pop()
-    if a:
-        raise ArithmeticError("division is not exact")
-    return q
-
-
 def cyclotomic_poly(k: int) -> list[int]:
-    """Coefficients of Phi_k, low-degree-first."""
+    """Coefficients of Phi_k, low-degree-first.
+
+    Phi_k is the product of (X^d - 1)^mu(k/d) over the d | k with k/d
+    squarefree. Each factor is a binomial, so multiplying by one, or
+    dividing exactly by one, is a single pass over the coefficients.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     if k in _PHI_CACHE:
         return _PHI_CACHE[k]
-    poly = [-1] + [0] * (k - 1) + [1]
-    for d in range(1, k):
-        if k % d == 0:
-            poly = _zdiv_exact(poly, cyclotomic_poly(d))
+    primes = list(gfpoly.factorint(k))
+    ups: list[int] = []
+    downs: list[int] = []
+    for n in range(len(primes) + 1):
+        for sub in itertools.combinations(primes, n):
+            (downs if n % 2 else ups).append(k // math.prod(sub))
+    poly = [1]
+    for d in ups:
+        nxt = [0] * d + poly
+        for i, c in enumerate(poly):
+            nxt[i] -= c
+        poly = nxt
+    for d in downs:
+        # poly = quo * (X^d - 1) gives quo[j] = poly[j + d] + quo[j + d]
+        top = len(poly) - 1 - d
+        quo = [0] * (top + 1)
+        for j in range(top, -1, -1):
+            quo[j] = poly[j + d] + (quo[j + d] if j + d <= top else 0)
+        if any(poly[j] != -(quo[j] if j <= top else 0) for j in range(d)):
+            raise ArithmeticError("division is not exact")
+        poly = quo
     _PHI_CACHE[k] = poly
     return poly
 
@@ -427,56 +432,63 @@ def factor_cyclotomic_mod_p(k: int, p: int, seed: int = 0) -> list[list[int]]:
 
 
 class PrimeIdealHandle:
-    """A prime of Q(zeta_k) above p, given by a factor of Phi_k mod p.
+    """A prime of Q(zeta_k) above p, given by a root of unity in a tower.
 
-    The residue field is F_p[X]/(factor); the class of X is a primitive
-    k-th root of unity there, and reduction sends zeta_k to it.
+    The root is the tower element gen^((order/k) * a) for a unit a mod k,
+    a primitive k-th root of unity; reduction sends zeta_k to it, so the
+    residue field is F_p(root) inside the tower. The root's minimal
+    polynomial over F_p, `factor`, is the irreducible factor of Phi_k mod p
+    that names the prime.
     """
 
-    def __init__(self, k: int, p: int, factor: list[int]):
-        factor = [c % p for c in factor]
-        if not factor or factor[-1] != 1:
-            raise ValueError("factor must be monic")
-        if gfpoly.mod([c % p for c in cyclotomic_poly(k)], factor, p):
-            raise ValueError("factor does not divide Phi_k mod p")
+    def __init__(self, tower: FieldTower, k: int, a: int):
+        if k < 1 or tower.order % k:
+            raise ValueError(f"the tower holds no primitive {k}-th root of unity")
+        if math.gcd(a, k) != 1:
+            raise ValueError("the root exponent must be a unit mod k")
+        p = tower.p
+        self.tower = tower
         self.k = k
         self.p = p
-        self.factor = factor
-        self.residue_degree = gfpoly.degree(factor)
-        # the residue image of zeta_k must have order exactly k
+        self.a = a % k
+        self.root = tower.order // k * self.a % tower.order
+        self.factor = tower.minpoly(self.root)
+        self.residue_degree = gfpoly.degree(self.factor)
+        # independent of the tower tables: in F_p[X]/(factor) the factor
+        # divides Phi_k and the class of X has order exactly k
+        if gfpoly.mod([c % p for c in cyclotomic_poly(k)], self.factor, p):
+            raise ConsistencyError("residue root's minimal polynomial does not divide Phi_k")
         x = [0, 1]
-        if gfpoly.powmod(x, k, factor, p) != [1]:
+        if gfpoly.powmod(x, k, self.factor, p) != [1]:
             raise ConsistencyError("residue root is not a k-th root of unity")
         for r in gfpoly.factorint(k):
-            if gfpoly.powmod(x, k // r, factor, p) == [1]:
+            if gfpoly.powmod(x, k // r, self.factor, p) == [1]:
                 raise ConsistencyError("residue root has too small order")
 
-    def reduce(self, z: CycNum) -> list[int]:
-        """Image of z in the residue field, as a poly in the root's class.
+    def reduce(self, z: CycNum) -> FqElem:
+        """Image of z in the residue field, as an element of the tower.
 
-        Fails if p divides a denominator of z (the value is not integral
-        at this prime) or if z does not lie in Q(zeta_k).
+        zeta_{z.k} goes to root^(k / z.k), and the power-basis terms are
+        summed with Zech additions. Fails if p divides a denominator of z
+        (the value is not integral at this prime) or if z does not lie in
+        Q(zeta_k).
         """
         if self.k % z.k:
             raise ValueError("value lies outside the handle's cyclotomic field")
-        p = self.p
-        point = gfpoly.powmod([0, 1], self.k // z.k, self.factor, p)
-        acc: list[int] = []
-        for c in reversed(z.coeffs):
-            if c.denominator % p == 0:
-                raise ValueError("value is not integral at this prime")
-            cc = c.numerator * pow(c.denominator, p - 2, p) % p
-            acc = gfpoly.mod(
-                gfpoly.add(gfpoly.mul(acc, point, p), [cc], p), self.factor, p
-            )
+        t, p = self.tower, self.p
+        step = self.root * (self.k // z.k)
+        acc: FqElem = None
+        for i, c in enumerate(z.coeffs):
+            if c:
+                if c.denominator % p == 0:
+                    raise ValueError("value is not integral at this prime")
+                coeff = t.from_prime(c.numerator * pow(c.denominator, p - 2, p))
+                acc = t.add(acc, t.mul(coeff, step * i))
         return acc
 
     def reduce_to_int(self, z: CycNum) -> int:
         """Reduction when the image lies in the prime field."""
-        r = self.reduce(z)
-        if gfpoly.degree(r) > 0:
-            raise ValueError("residue does not lie in the prime field")
-        return r[0] if r else 0
+        return self.tower.to_prime(self.reduce(z))
 
     def __repr__(self) -> str:
-        return f"PrimeIdealHandle(k={self.k}, p={self.p}, factor={self.factor})"
+        return f"PrimeIdealHandle(k={self.k}, p={self.p}, a={self.a}, factor={self.factor})"

@@ -61,12 +61,14 @@ class FieldTower:
         self.size = size
         self.order = size - 1
         if modulus is None:
-            modulus = canonical_modulus(p, m, table_cap)
-        modulus = [c % p for c in modulus]
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree m")
-        if not gfpoly.is_irreducible(modulus, p):
-            raise ValueError("modulus is reducible")
+            # the scan proves the modulus primitive, hence irreducible
+            modulus = gfpoly.first_primitive_modulus(p, m)
+        else:
+            modulus = [c % p for c in modulus]
+            if len(modulus) != m + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree m")
+            if not gfpoly.is_irreducible(modulus, p):
+                raise ValueError("modulus is reducible")
         self.modulus = modulus
         self._build_tables()
         # exponent of -1; p = 2 never reaches the code that uses it
@@ -297,82 +299,6 @@ class FieldTower:
 
     def describe(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
-
-def _first_irreducible(p: int, m: int) -> list[int]:
-    import itertools
-
-    for tail in itertools.product(range(p), repeat=m):
-        if tail[0] == 0:
-            continue
-        f = list(tail) + [1]
-        if gfpoly.is_irreducible(f, p):
-            return f
-    raise ValueError("no irreducible polynomial found")
-
-
-def canonical_modulus(p: int, m: int, table_cap: int = DEFAULT_TABLE_CAP) -> list[int]:
-    """Lexicographically first primitive polynomial of degree m over F_p.
-
-    Agrees with gfpoly.first_primitive_modulus but avoids its full scan:
-    a scratch copy of F_{p^m} is built from any irreducible polynomial,
-    and the minimum of the minimal polynomials of all primitive elements
-    is taken with table arithmetic.
-    """
-    if m == 1:
-        for c0 in range(1, p):
-            if gfpoly.element_order_check([(-c0) % p], [c0, 1], p, p - 1):
-                return [c0, 1]
-        raise ValueError("no primitive root found")
-    order = p**m - 1
-    f0 = _first_irreducible(p, m)
-    fac = gfpoly.factorint(order)
-    gen = None
-    for pk in range(p, p**m):
-        cand = []
-        t = pk
-        while t:
-            cand.append(t % p)
-            t //= p
-        if all(gfpoly.powmod(cand, order // r, f0, p) != [1] for r in fac):
-            gen = cand
-            break
-    if gen is None:
-        raise ValueError("no generator found")
-    # minimal polynomial of gen over F_p, with polynomial arithmetic
-    conjugates = [gen]
-    for _ in range(m - 1):
-        conjugates.append(gfpoly.powmod(conjugates[-1], p, f0, p))
-    coeffs: list[list[int]] = [[1]]
-    for c in conjugates:
-        nxt: list[list[int]] = [[] for _ in range(len(coeffs) + 1)]
-        mc = gfpoly.scale(c, p - 1, p)
-        for i, co in enumerate(coeffs):
-            nxt[i + 1] = gfpoly.add(nxt[i + 1], co, p)
-            nxt[i] = gfpoly.add(nxt[i], gfpoly.mod(gfpoly.mul(co, mc, p), f0, p), p)
-        coeffs = nxt
-    scratch_mod = [c[0] if c else 0 for c in coeffs]
-    scratch = FieldTower(p, m, modulus=scratch_mod, table_cap=table_cap)
-    # every primitive polynomial is the minimal polynomial of a primitive
-    # element; scan one representative per Frobenius orbit
-    best: list[int] | None = None
-    for e in range(1, order):
-        if math.gcd(e, order) != 1:
-            continue
-        t = e * p % order
-        small = False
-        while t != e:
-            if t < e:
-                small = True
-                break
-            t = t * p % order
-        if small:
-            continue
-        mp = scratch.minpoly(e)
-        if best is None or mp < best:
-            best = mp
-    assert best is not None
-    return best
 
 
 def build_tower(

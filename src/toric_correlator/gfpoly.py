@@ -8,6 +8,7 @@ tower can juggle thousands of these cheaply.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 
@@ -168,23 +169,29 @@ def element_order_check(a: list[int], m: list[int], p: int, n: int) -> bool:
 
 
 def first_primitive_modulus(p: int, m: int) -> list[int]:
-    """Lexicographically first monic irreducible of degree m over F_p whose
-    root generates the multiplicative group of F_{p^m}.
+    """Lexicographically first monic primitive polynomial of degree m over F_p.
 
-    Enumeration is by constant coefficient first, so ties break toward small
-    low-degree coefficients; moduli are deterministic across runs.
+    Candidates c0 + c1 X + ... + X^m are scanned with (c0, ..., c_{m-1}) in
+    lexicographic order, so ties break toward small low-degree coefficients
+    and moduli are deterministic across runs. Two filters decide:
+
+    - (-1)^m c0 is the norm of a root, and the norm of a generator of
+      F_{p^m}^* generates F_p^*, so (-1)^m c0 must be a primitive root mod p;
+    - X must have order exactly p^m - 1 modulo f. Its powers are then
+      p^m - 1 distinct units of F_p[X]/(f), so that ring is a field and f
+      is irreducible without a separate test.
     """
-    import itertools
-
     order = p**m - 1
-    for tail in itertools.product(range(p), repeat=m):
-        f = list(tail) + [1]
-        if f[0] == 0:
+    sign = (-1) ** m
+    unit_primes = factorint(p - 1)
+    for c0 in range(1, p):
+        norm = sign * c0 % p
+        if any(pow(norm, (p - 1) // r, p) == 1 for r in unit_primes):
             continue
-        if not is_irreducible(f, p):
-            continue
-        if element_order_check([0, 1], f, p, order):
-            return f
+        for tail in itertools.product(range(p), repeat=m - 1):
+            f = [c0, *tail, 1]
+            if element_order_check([0, 1], f, p, order):
+                return f
     raise ValueError(f"no primitive polynomial of degree {m} over F_{p}")
 
 

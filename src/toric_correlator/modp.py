@@ -17,9 +17,19 @@ the trivial), the reduction of c(pi) is
     (-1)^((q-1)/2) * C(d, d/2) * C(q-1-d, (q-1-d)/2)   mod p
 
 when every base-p digit of d is even, and 0 otherwise; binomials are
-evaluated with Lucas' theorem. In particular c(pi) is nonzero in
-characteristic zero exactly when some prime sees all digits even, and the
-parity of d matches the sign: d is odd precisely when epsilon(pi) = -1.
+evaluated with Lucas' theorem. The parity of d matches the sign: d is odd
+precisely when epsilon(pi) = -1.
+
+A nonzero predicted residue at some prime forces c(pi) != 0, since a zero
+constant reduces to 0 everywhere. The converse fails: ps 38 at q = 343 has
+c(pi) = 588/(342 * 344), and its residue is 0 at every prime above 7, as
+predicted. A report flags such a constant with vanishing_consistent =
+False; the residues still all match.
+
+The primes above p are read from the group's tower: the residue field of
+Q(zeta_k) at a prime above p is F_{p^o}, o the order of p mod k, a
+subfield of F_{q^2} when k divides q^2 - 1, and each prime's root of
+unity is a power of the tower generator.
 """
 
 from __future__ import annotations
@@ -60,19 +70,33 @@ def fraction_mod_p(x: Fraction, p: int) -> int:
 
 
 def prime_handles(g: PGL2, conductor: int, seed: int = 0) -> list[PrimeIdealHandle]:
-    """All primes above p in Q(zeta_conductor), in a deterministic order."""
-    return [
-        PrimeIdealHandle(conductor, g.p, fac)
-        for fac in factor_cyclotomic_mod_p(conductor, g.p, seed)
-    ]
+    """All primes above p in Q(zeta_conductor), sorted by factor.
+
+    The primes come from the group's tower: one handle per key of
+    root_relabel_map, with that key's root exponent. The factors of
+    Phi_conductor mod p from factor_cyclotomic_mod_p are an independent
+    source, and the two lists must agree. The list is built and checked
+    once per group and conductor (`seed` only steers that first
+    factorization, whose sorted output does not depend on it); each call
+    returns a fresh copy.
+    """
+    handles = g._handle_cache.get(conductor)
+    if handles is None:
+        relabel = root_relabel_map(g, conductor)
+        handles = [PrimeIdealHandle(g.tower, conductor, relabel[key]) for key in sorted(relabel)]
+        if [h.factor for h in handles] != factor_cyclotomic_mod_p(conductor, g.p, seed):
+            raise ConsistencyError(
+                f"the primes above {g.p} of Q(zeta_{conductor}) read from the tower "
+                "differ from the factors of the cyclotomic polynomial"
+            )
+        g._handle_cache[conductor] = handles
+    return list(handles)
 
 
 def distinguished_handle(g: PGL2, conductor: int) -> PrimeIdealHandle:
     """The prime whose residue root is the tower's own order-`conductor`
     generator; its relabeling exponent is a = 1."""
-    t = g.tower
-    base = t.order // conductor
-    return PrimeIdealHandle(conductor, g.p, t.minpoly(base % t.order))
+    return PrimeIdealHandle(g.tower, conductor, 1)
 
 
 def root_relabel_map(g: PGL2, conductor: int) -> dict[tuple[int, ...], int]:
@@ -106,7 +130,9 @@ def rep_conductor(g: PGL2, rep: Label) -> int:
 
 def relabeled_r(g: PGL2, rep: Label, handle: PrimeIdealHandle) -> int:
     """The representation label as seen through the given prime."""
-    a = root_relabel_map(g, handle.k)[tuple(handle.factor)]
+    if handle.tower is not g.tower:
+        raise ValueError("the prime belongs to another group's tower")
+    a = handle.a
     q = g.q
     if rep[0] == "ps":
         r = rep[1] * a % (q - 1)
@@ -218,17 +244,17 @@ def rep_report(
             )
         )
     else:
+        t = g.tower
         for handle in prime_handles(g, conductor, seed):
-            a = root_relabel_map(g, conductor)[tuple(handle.factor)]
             rr = relabeled_r(g, rep, handle)
             d = digit_parameter(g, rep, handle)
             pred = predicted_residue(g, d)
             red = handle.reduce(value)
-            actual = (red[0] if red else 0) if len(red) <= 1 else None
+            actual = t.to_prime(red) if t.in_subfield(1, red) else None
             entries.append(
                 PrimeEntry(
                     list(handle.factor),
-                    a,
+                    handle.a,
                     rr,
                     d,
                     base_digits(d, g.p, g.f),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .cyclo import CycNum
+from .cyclo import CycNum, PrimeIdealHandle
 from .fields import ConsistencyError, FieldTower, FqElem, build_tower
 
 Mat = tuple[FqElem, FqElem, FqElem, FqElem]
@@ -101,6 +101,7 @@ class PGL2:
         self._pair_counts: dict[Label, int] | None = None
         self._sign_classes: dict[str, dict[Label, int]] = {}
         self._relabel_cache: dict[int, dict[tuple[int, ...], int]] = {}
+        self._handle_cache: dict[int, list[PrimeIdealHandle]] = {}
 
     # -- classes ----------------------------------------------------------
 

@@ -533,9 +533,7 @@ def diamond_check(g: PGL2, rep: Label, value: CycNum | None = None) -> DiamondRe
     st = image.get(vh)
     if value is None:
         value = corr_constant(g, rep)
-    red = handle.reduce(value)
-    base = t.order // handle.k
-    reduced = t.eval_poly(red, base % t.order)
+    reduced = handle.reduce(value)
     return DiamondReport(
         rep=rep,
         constituents=[c for _, c in parts],

@@ -59,6 +59,21 @@ def test_modp_text(capsys):
     assert "ok" in out and "MISMATCH" not in out
 
 
+def test_modp_nonzero_constant_with_zero_residues(capsys, monkeypatch):
+    # ps 38 at q = 343: c = 588/(342*344) is nonzero, yet every residue at
+    # the primes above 7 is 0 as predicted, so the report passes
+    assert main(["modp", "--p", "7", "--f", "3", "--rep", "ps:38"]) == 0
+    out = capsys.readouterr().out
+    assert "ok (nonzero, all residues 0)" in out and "MISMATCH" not in out
+    # a residue that differs from its prediction still fails
+    import toric_correlator.modp as modp
+
+    real = modp.predicted_residue
+    monkeypatch.setattr(modp, "predicted_residue", lambda g, d: (real(g, d) + 1) % g.p)
+    assert main(["modp", "--p", "7", "--f", "3", "--rep", "ps:38"]) == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
 def test_modp_json_single_rep(capsys):
     code = main(["modp", "--p", "7", "--f", "1", "--rep", "ps:1", "--format", "json"])
     assert code == 0

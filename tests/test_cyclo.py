@@ -12,6 +12,7 @@ from toric_correlator import (
     CycNum,
     CycRing,
     PrimeIdealHandle,
+    build_tower,
     cyclotomic_poly,
     factor_cyclotomic_mod_p,
 )
@@ -25,6 +26,37 @@ def test_cyclotomic_poly_small():
     assert cyclotomic_poly(6) == [1, -1, 1]
     assert cyclotomic_poly(8) == [1, 0, 0, 0, 1]
     assert cyclotomic_poly(12) == [1, 0, -1, 0, 1]
+
+
+_REFERENCE_PHI = {}
+
+
+def reference_cyclotomic_poly(k):
+    """Reference: X^k - 1 divided exactly by Phi_d for every proper d | k."""
+    if k not in _REFERENCE_PHI:
+        poly = [-1] + [0] * (k - 1) + [1]
+        for d in range(1, k):
+            if k % d == 0:
+                b = reference_cyclotomic_poly(d)
+                quo = [0] * (len(poly) - len(b) + 1)
+                while len(poly) >= len(b):
+                    shift = len(poly) - len(b)
+                    c = poly[-1]  # b is monic
+                    quo[shift] = c
+                    for i, cb in enumerate(b):
+                        poly[shift + i] -= c * cb
+                    while poly and poly[-1] == 0:
+                        poly.pop()
+                assert not poly
+                poly = quo
+        _REFERENCE_PHI[k] = poly
+    return _REFERENCE_PHI[k]
+
+
+@pytest.mark.parametrize("ks", [range(1, 211), (624, 728, 960, 1680, 2400)])
+def test_cyclotomic_poly_matches_reference(ks):
+    for k in ks:
+        assert cyclotomic_poly(k) == reference_cyclotomic_poly(k), k
 
 
 def test_cyclotomic_poly_degree_is_totient():
@@ -208,29 +240,44 @@ def test_factor_cyclotomic_mod_p_structure():
         assert factors == factor_cyclotomic_mod_p(k, p)
 
 
+def _handle_8_over_7(a=1):
+    # F_49 holds the 8th roots of unity, so primes of Q(zeta_8) above 7 live there
+    return PrimeIdealHandle(build_tower(7, 2), 8, a)
+
+
 def test_prime_ideal_reduction_is_homomorphism():
-    k, p = 8, 7
-    factor = factor_cyclotomic_mod_p(k, p)[0]
-    h = PrimeIdealHandle(k, p, factor)
+    h = _handle_8_over_7()
+    t = h.tower
+    assert h.factor in factor_cyclotomic_mod_p(8, 7)
+    assert t.eval_poly(h.factor, h.root) is None
     a = CycNum.zeta(8) + CycNum.rational(3)
     b = CycNum.zeta(8, 3) * CycNum.rational(Fraction(1, 2))
     ra, rb = h.reduce(a), h.reduce(b)
-    assert h.reduce(a + b) == gfpoly.add(ra, rb, p)
-    assert h.reduce(a * b) == gfpoly.mod(gfpoly.mul(ra, rb, p), factor, p)
+    assert h.reduce(a + b) == t.add(ra, rb)
+    assert h.reduce(a * b) == t.mul(ra, rb)
+    assert h.reduce(CycNum.zeta(8)) == h.root
+    assert h.reduce(CycNum.zeta(4)) == t.power(h.root, 2)
 
 
 def test_prime_ideal_reduce_to_int():
     # rational values reduce to their residue mod p
-    k, p = 8, 7
-    h = PrimeIdealHandle(k, p, factor_cyclotomic_mod_p(k, p)[0])
-    assert h.reduce_to_int(CycNum.rational(Fraction(1, 2))) == pow(2, p - 2, p) % p
+    h = _handle_8_over_7()
+    assert h.reduce_to_int(CycNum.rational(Fraction(1, 2))) == pow(2, 7 - 2, 7) % 7
     assert h.reduce_to_int(CycNum.rational(10)) == 3
+    with pytest.raises(ValueError):
+        h.reduce_to_int(CycNum.zeta(8))  # residue degree 2
 
 
 def test_prime_ideal_rejects_bad_denominator():
-    k, p = 8, 7
-    h = PrimeIdealHandle(k, p, factor_cyclotomic_mod_p(k, p)[0])
+    h = _handle_8_over_7()
     with pytest.raises(ValueError):
         h.reduce(CycNum.rational(Fraction(1, 7)))
     with pytest.raises(ValueError):
         h.reduce(CycNum.zeta(5))  # conductor 5 does not divide 8
+
+
+def test_prime_ideal_rejects_bad_root():
+    with pytest.raises(ValueError):
+        PrimeIdealHandle(build_tower(7, 2), 5, 1)  # 5 does not divide 48
+    with pytest.raises(ValueError):
+        _handle_8_over_7(a=2)  # zeta_8^2 is not a primitive 8th root

@@ -2,10 +2,13 @@
 norms and traces. Nonzero elements are discrete logs of the tower generator;
 None is zero."""
 
+import itertools
+import math
+
 import pytest
 
-from toric_correlator import build_tower
-from toric_correlator.fields import canonical_modulus
+from toric_correlator import build_tower, gfpoly
+from toric_correlator.fields import FieldTower
 
 
 @pytest.fixture(scope="module", params=[(3, 2), (5, 2), (7, 2), (3, 4)])
@@ -156,9 +159,91 @@ def test_element_order_divides_group_order(tower):
     assert t.order % n == 0
 
 
+def _first_irreducible(p, m):
+    for tail in itertools.product(range(p), repeat=m):
+        if tail[0] == 0:
+            continue
+        f = list(tail) + [1]
+        if gfpoly.is_irreducible(f, p):
+            return f
+    raise ValueError("no irreducible polynomial found")
+
+
+def canonical_modulus(p, m):
+    """Reference: the least minimal polynomial of a primitive element.
+
+    A scratch copy of F_{p^m} is built from the first irreducible
+    polynomial, and the minimum is taken over one primitive element per
+    Frobenius orbit; this is the search towers used before the pruned scan.
+    """
+    if m == 1:
+        for c0 in range(1, p):
+            if gfpoly.element_order_check([(-c0) % p], [c0, 1], p, p - 1):
+                return [c0, 1]
+        raise ValueError("no primitive root found")
+    order = p**m - 1
+    f0 = _first_irreducible(p, m)
+    fac = gfpoly.factorint(order)
+    gen = None
+    for pk in range(p, p**m):
+        cand = []
+        t = pk
+        while t:
+            cand.append(t % p)
+            t //= p
+        if all(gfpoly.powmod(cand, order // r, f0, p) != [1] for r in fac):
+            gen = cand
+            break
+    # minimal polynomial of gen over F_p, with polynomial arithmetic
+    conjugates = [gen]
+    for _ in range(m - 1):
+        conjugates.append(gfpoly.powmod(conjugates[-1], p, f0, p))
+    coeffs = [[1]]
+    for c in conjugates:
+        nxt = [[] for _ in range(len(coeffs) + 1)]
+        mc = gfpoly.scale(c, p - 1, p)
+        for i, co in enumerate(coeffs):
+            nxt[i + 1] = gfpoly.add(nxt[i + 1], co, p)
+            nxt[i] = gfpoly.add(nxt[i], gfpoly.mod(gfpoly.mul(co, mc, p), f0, p), p)
+        coeffs = nxt
+    scratch = FieldTower(p, m, modulus=[c[0] if c else 0 for c in coeffs])
+    best = None
+    for e in range(1, order):
+        if math.gcd(e, order) != 1:
+            continue
+        t = e * p % order
+        while t != e and t > e:
+            t = t * p % order
+        if t != e:
+            continue  # not the least exponent of its Frobenius orbit
+        mp = scratch.minpoly(e)
+        if best is None or mp < best:
+            best = mp
+    return best
+
+
 def test_canonical_modulus_deterministic():
     assert canonical_modulus(3, 2) == canonical_modulus(3, 2)
     assert canonical_modulus(7, 4) == canonical_modulus(7, 4)
+    assert build_tower(7, 4).modulus == canonical_modulus(7, 4)
+
+
+# (p, m) of every tower the tests and the benchmark workloads build: the
+# tower of PGL2(F_{p^f}) has degree 2f, and the prime-field tests cover
+# every odd prime up to 47
+_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 79]
+_PRIMES += [127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193]
+TOWER_DEGREES = sorted(
+    {(p, 2) for p in _PRIMES}
+    | {(3, 4), (5, 4), (7, 4), (11, 4), (13, 4), (17, 4), (19, 4)}
+    | {(3, 6), (5, 6), (7, 6), (3, 8), (3, 10)}
+    | {(3, 1), (5, 1), (7, 1), (3, 3), (5, 3)}
+)
+
+
+@pytest.mark.parametrize("p, m", TOWER_DEGREES)
+def test_first_primitive_modulus_matches_reference(p, m):
+    assert gfpoly.first_primitive_modulus(p, m) == canonical_modulus(p, m)
 
 
 def test_pinned_subfield_modulus():

@@ -1,5 +1,6 @@
 """Polynomial arithmetic over prime fields."""
 
+import itertools
 import random
 
 from toric_correlator import gfpoly
@@ -67,7 +68,10 @@ def test_irreducibility_by_counting_roots():
 
 
 def test_first_primitive_modulus_is_primitive():
-    for p, m in ((3, 2), (5, 2), (3, 3), (7, 2)):
+    # the pruned scan skips the irreducibility test and every constant term
+    # whose signed value is not a primitive root; the full scan in the same
+    # order, testing every monic polynomial, must land on the same modulus
+    for p, m in ((3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (5, 3), (3, 4)):
         f = gfpoly.first_primitive_modulus(p, m)
         assert gfpoly.degree(f) == m
         assert gfpoly.is_irreducible(f, p)
@@ -77,6 +81,14 @@ def test_first_primitive_modulus_is_primitive():
         assert gfpoly.powmod(x, n, f, p) == [1]
         for ell in gfpoly.factorint(n):
             assert gfpoly.powmod(x, n // ell, f, p) != [1]
+        full = next(
+            list(tail) + [1]
+            for tail in itertools.product(range(p), repeat=m)
+            if tail[0]
+            and gfpoly.is_irreducible(list(tail) + [1], p)
+            and gfpoly.element_order_check(x, list(tail) + [1], p, n)
+        )
+        assert f == full
 
 
 def test_equal_degree_factor_splits_cyclotomic():

@@ -2,19 +2,29 @@
 closed form."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_correlator import CycNum, predicted_residue, rep_report, sweep
+from toric_correlator import (
+    PGL2,
+    ConsistencyError,
+    CycNum,
+    gfpoly,
+    predicted_residue,
+    rep_report,
+    sweep,
+)
 from toric_correlator.modp import (
     base_digits,
     distinguished_handle,
     fraction_mod_p,
     lucas_binom,
     prime_handles,
+    relabeled_r,
     rep_conductor,
 )
 
@@ -58,14 +68,105 @@ def test_prime_handle_count(g7):
 
 
 def test_distinguished_handle_fixes_zeta(g7, g9):
-    # the distinguished prime reduces zeta_k to the class of X itself
-    from toric_correlator import gfpoly
-
+    # the distinguished prime reduces zeta_k to the tower's own order-k
+    # generator, and the Horner reference in F_p[X]/(factor) agrees
     for g in (g7, g9):
+        t = g.tower
         for k in (8, g.q - 1, g.q**2 - 1):
             h = distinguished_handle(g, k)
-            want = gfpoly.mod([0, 1], h.factor, g.p)
-            assert h.reduce(CycNum.zeta(k)) == want
+            assert h.a == 1
+            assert h.reduce(CycNum.zeta(k)) == t.order // k % t.order
+            assert t.eval_poly(horner_reduce(h, CycNum.zeta(k)), h.root) == h.root
+
+
+def horner_reduce(h, z):
+    """Reference reduction: Horner evaluation in F_p[X]/(factor), where the
+    class of X is the image of zeta_k; returns a coefficient list."""
+    if h.k % z.k:
+        raise ValueError("value lies outside the handle's cyclotomic field")
+    p = h.p
+    point = gfpoly.powmod([0, 1], h.k // z.k, h.factor, p)
+    acc = []
+    for c in reversed(z.coeffs):
+        if c.denominator % p == 0:
+            raise ValueError("value is not integral at this prime")
+        cc = c.numerator * pow(c.denominator, p - 2, p) % p
+        acc = gfpoly.mod(gfpoly.add(gfpoly.mul(acc, point, p), [cc], p), h.factor, p)
+    return acc
+
+
+# (p, f, chi_modulus, listed, distinguished): every conductor whose primes
+# the tests list with prime_handles and reduce at, including the pinned F_49
+# of the acceptance tests, and every conductor whose distinguished prime the
+# diamond checks and test_distinguished_handle_fixes_zeta reduce at
+HANDLE_CASES = [
+    (5, 1, None, (4, 24), (4, 24)),
+    (7, 1, None, (6, 8, 12, 48), (6, 8, 48)),
+    (3, 2, None, (8, 80), (8, 80)),
+    (11, 1, None, (10, 120), ()),
+    (13, 1, None, (12, 168), ()),
+    (5, 2, None, (24, 624), (24, 624)),
+    (3, 3, None, (26, 728), ()),
+    (7, 2, None, (48,), (48, 2400)),
+    (7, 2, (3, 6, 1), (48,), ()),
+    (7, 3, None, (342,), ()),
+]
+
+
+@pytest.mark.parametrize("p, f, pin, listed, distinguished", HANDLE_CASES)
+def test_tower_reduction_matches_horner(p, f, pin, listed, distinguished):
+    g = PGL2(p, f, chi_modulus=None if pin is None else list(pin))
+    t = g.tower
+    rng = random.Random(p * 100 + f)
+    handles = [h for k in listed for h in prime_handles(g, k)]
+    handles += [distinguished_handle(g, k) for k in distinguished]
+    for h in handles:
+        k = h.k
+        # a rational, a sum over a subgroup of smaller conductor, and a
+        # random element of the whole field
+        values = [CycNum.rational(Fraction(3, 2))]
+        for support in (range(0, k, math.gcd(k, 6)), range(k)):
+            e = rng.sample(support, min(6, len(support)))
+            counter = {x: Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 4))) for x in e}
+            values.append(CycNum.from_counter(k, counter))
+        for z in values:
+            assert h.reduce(z) == t.eval_poly(horner_reduce(h, z), h.root)
+        with pytest.raises(ValueError):
+            h.reduce(CycNum.rational(Fraction(1, p)))
+
+
+def test_prime_handles_cross_check_factorization(monkeypatch):
+    import toric_correlator.modp as modp
+
+    real = modp.factor_cyclotomic_mod_p
+    k = 48
+    factors = real(k, 7)
+    altered = [list(f) for f in factors]
+    altered[0][0] = (altered[0][0] + 1) % 7
+    for wrong in (factors[1:], altered, factors[::-1]):
+        monkeypatch.setattr(modp, "factor_cyclotomic_mod_p", lambda *a, w=wrong: w)
+        with pytest.raises(ConsistencyError):
+            prime_handles(PGL2(7, 1), k)
+    monkeypatch.setattr(modp, "factor_cyclotomic_mod_p", real)
+    assert [h.factor for h in prime_handles(PGL2(7, 1), k)] == factors
+
+
+def test_prime_handles_memo_is_per_group():
+    g = PGL2(7, 1)
+    first = prime_handles(g, 48)
+    want = [h.factor for h in first]
+    first.pop()
+    first.append(None)
+    again = prime_handles(g, 48)
+    assert [h.factor for h in again] == want
+    # built once: every call hands out the same handles
+    assert all(x is y for x, y in zip(again, prime_handles(g, 48)))
+    other = prime_handles(PGL2(7, 1), 48, seed=5)
+    assert [h.factor for h in other] == want
+    assert not any(x is y for x, y in zip(again, other))
+    assert all(h.tower is g.tower for h in again)
+    with pytest.raises(ValueError):
+        relabeled_r(g, ("ps", 1), other[0])  # a prime of another group's tower
 
 
 def test_rep_conductor(g7):
