@@ -79,11 +79,9 @@ class CycRing:
         # Phi_k divides S = 1 + X^m + X^2m + ... + X^((p-1)m) for m = k/p,
         # p the least prime factor of k; reduce_vector folds mod S first
         self._fold_step = k // min(gfpoly.factorint(k)) if k > 1 else None
-        # rows[e] = X^e reduced mod Phi_k; grown on demand
-        self._rows: list[tuple[int, ...]] = [
-            tuple(1 if i == e else 0 for i in range(self.deg))
-            for e in range(self.deg)
-        ]
+        # _rows[i] = X^(deg + i) reduced mod Phi_k, grown on demand from
+        # X^deg = -(Phi_k - X^deg); reduce_vector reads no row below deg
+        self._rows: list[tuple[int, ...]] = [tuple(-c for c in self.phi_poly[: self.deg])]
 
     @classmethod
     def get(cls, k: int, cap: int = DEFAULT_CONDUCTOR_CAP) -> "CycRing":
@@ -96,7 +94,10 @@ class CycRing:
         return ring
 
     def row(self, e: int) -> tuple[int, ...]:
-        e %= self.k
+        """X^e reduced mod Phi_k, for e mod k >= phi(k)."""
+        e = e % self.k - self.deg
+        if e < 0:
+            raise ValueError("rows start at X^phi(k)")
         while len(self._rows) <= e:
             prev = self._rows[-1]
             top = prev[-1]

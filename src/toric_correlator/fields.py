@@ -81,36 +81,73 @@ class FieldTower:
         }
 
     def _build_tables(self) -> None:
-        p, m, order = self.p, self.m, self.order
+        """exp[e] = g^e as its base-p packed coefficients, dlog its inverse,
+        zech[e] = dlog(1 + g^e).
+
+        A packed element is also its dlog index, so the walk through the
+        powers of X stays in packed ints: v -> X v shifts the digits up and
+        subtracts lead * modulus digitwise mod p. For m = 2 that step is a
+        closed formula. Otherwise the low m - 1 digits split into a low
+        chunk of h = m // 2 digits and a high chunk of the rest, and
+        X v = TA[lead][low] + TB[v // p^h]: TA gives output digits 0..h and
+        TB digits h+1..m-1, so the two sums never carry into each other.
+        TA and TB have p^(h+1) and p^(m-h) entries, about p^ceil((m+1)/2);
+        for m = 2 they would be as large as the field.
+        """
+        p, m, order, mod = self.p, self.m, self.order, self.modulus
         exp_table = [0] * order
+        v = 1
+        if m == 2:
+            m0, m1 = mod[0], mod[1]
+            for e in range(order):
+                exp_table[e] = v
+                c1, c0 = divmod(v, p)
+                v = (c0 - c1 * m1) % p * p + (-c1 * m0) % p
+        else:
+            h = m // 2
+            ph, pb = p**h, p ** (m - 1 - h)
+            # digit i of X v is digit i of p v minus lead * mod[i]
+            ta = [
+                [
+                    sum((a * p // p**i % p - lead * mod[i]) % p * p**i for i in range(h + 1))
+                    for a in range(ph)
+                ]
+                for lead in range(p)
+            ]
+            tb = [
+                sum(
+                    (hi * p // p ** (i - h) % p - hi // pb * mod[i]) % p * p**i
+                    for i in range(h + 1, m)
+                )
+                for hi in range(p * pb)
+            ]
+            for e in range(order):
+                exp_table[e] = v
+                hi = v // ph
+                v = ta[hi // pb][v - hi * ph] + tb[hi]
+        # X^order = 1 and X^(order/r) != 1 for every prime r | order say X
+        # has order exactly p^m - 1, so its powers are distinct
+        if v != 1 or any(exp_table[order // r] == 1 for r in gfpoly.factorint(order)):
+            raise ValueError("modulus is not primitive")
         dlog: list[int | None] = [None] * self.size
-        cur = [0] * m
-        cur[0] = 1
-        for e in range(order):
-            pk = 0
-            for c in reversed(cur):
-                pk = pk * p + c
-            if dlog[pk] is not None:
-                raise ValueError("modulus is not primitive")
-            exp_table[e] = pk
-            dlog[pk] = e
-            lead = cur[m - 1]
-            nxt = [0] + cur[: m - 1]
-            if lead:
-                for i in range(m):
-                    nxt[i] = (nxt[i] - lead * self.modulus[i]) % p
-            cur = nxt
-        if cur[0] != 1 or any(cur[1:]):
-            raise ConsistencyError("generator order mismatch while building tables")
-        zech: list[int | None] = [None] * order
-        for e in range(order):
-            pk = exp_table[e]
-            c0 = pk % p
-            pk2 = pk - c0 + (c0 + 1) % p
-            zech[e] = dlog[pk2] if pk2 else None
+        for e, v in enumerate(exp_table):
+            dlog[v] = e
+        # 1 + v adds one to the constant digit, and a constant digit p - 1
+        # wraps back to 0: it rotates each block of p consecutive packed
+        # values. Rotating dlog's blocks in place makes it read dlog(1 + v)
+        # at v; zech is read through exp, and dlog is rotated back. No
+        # field-sized copy is made, so peak memory stays that of the tables.
+        first = dlog[::p]
+        for c in range(p - 1):
+            dlog[c::p] = dlog[c + 1 :: p]
+        dlog[p - 1 :: p] = first
+        self._zech = list(map(dlog.__getitem__, exp_table))
+        last = dlog[p - 1 :: p]
+        for c in range(p - 1, 0, -1):
+            dlog[c::p] = dlog[c - 1 :: p]
+        dlog[::p] = last
         self._exp = exp_table
         self._dlog = dlog
-        self._zech = zech
 
     # -- encoding ---------------------------------------------------------
 

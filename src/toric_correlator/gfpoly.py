@@ -4,12 +4,47 @@ Polynomials are lists of int coefficients in low-degree-first order,
 reduced mod p, with no trailing zeros (the zero polynomial is []).
 Everything here is plain list manipulation; no classes, so the field
 tower can juggle thousands of these cheaply.
+
+Long products are packed: each operand becomes one big integer with a
+64-bit lane per coefficient, a single integer product (Karatsuba inside
+CPython) does the convolution, and the lanes are read back and reduced
+mod p. Short products stay schoolbook, where packing costs more than it
+saves.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
+from array import array
+
+# powmod reduces by a Barrett step at modulus degree n >= PACKED_DEGREE,
+# and mul packs when both operands have at least PACKED_DEGREE - 1
+# coefficients, so every product of such a step is packed (mu has n - 1).
+# Measured per modular product inside powmod, CPython 3.11 on x86-64,
+# p = 3, 7, 31, 193: at degree 9-10 neither way wins consistently
+# (16-43 us), at degree 11-12 packing is 1.0-1.6x faster, at 16 1.5-2.5x
+# and at 32 2.4-4.2x; at degree 4-6 it would be 1.3-2.3x slower.
+PACKED_DEGREE = 11
+
+_LANE_BYTES = 8
+assert array("Q").itemsize == _LANE_BYTES
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _pack(a: list[int]) -> int:
+    lanes = array("Q", a)
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
+def _unpack(x: int, n: int) -> array:
+    lanes = array("Q", x.to_bytes(n * _LANE_BYTES, "little"))
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return lanes
 
 
 def trim(a: list[int]) -> list[int]:
@@ -46,7 +81,16 @@ def sub(a: list[int], b: list[int], p: int) -> list[int]:
 def mul(a: list[int], b: list[int], p: int) -> list[int]:
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    n = len(a) + len(b) - 1
+    short = min(len(a), len(b))
+    if short >= PACKED_DEGREE - 1:
+        # a lane collects at most `short` products of two residues
+        if short * (p - 1) ** 2 >> 8 * _LANE_BYTES:
+            raise ValueError("coefficient sums would overflow a 64-bit lane")
+        pa = _pack(a)
+        prod = pa * pa if a is b else pa * _pack(b)
+        return trim([c % p for c in _unpack(prod, n)])
+    out = [0] * n
     for i, ca in enumerate(a):
         if ca == 0:
             continue
@@ -66,17 +110,22 @@ def divmod_poly(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int
     """Quotient and remainder of a by b (b nonzero)."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    n = len(b) - 1
+    if len(a) <= n:
+        return [], trim(list(a))
     a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
+    q = [0] * (len(a) - n)
     inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and a:
-        shift = len(a) - len(b)
-        c = a[-1] * inv_lead % p
-        q[shift] = c
-        for i, cb in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * cb) % p
-        trim(a)
-    return trim(q), a
+    low = b[:-1]
+    # clear the coefficients of a from the top down to degree n; the
+    # cleared ones are never read again and are cut off at the end
+    for top in range(len(a) - 1, n - 1, -1):
+        c = a[top] * inv_lead % p
+        if c:
+            q[top - n] = c
+            for i, cb in enumerate(low, top - n):
+                a[i] = (a[i] - c * cb) % p
+    return trim(q), trim(a[:n])
 
 
 def mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -96,30 +145,53 @@ def gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return monic(a, p)
 
 
-def xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
-    """Returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = divmod_poly(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, sub(u0, mul(q, u1, p), p)
-        v0, v1 = v1, sub(v0, mul(q, v1, p), p)
-    if r0 and r0[-1] != 1:
-        c = pow(r0[-1], p - 2, p)
-        r0, u0, v0 = scale(r0, c, p), scale(u0, c, p), scale(v0, c, p)
-    return r0, u0, v0
+def barrett_reducer(m: list[int], p: int):
+    """A function giving the remainder mod m of any polynomial of degree at
+    most 2 deg(m) - 2.
+
+    With n = deg m and mu = X^(2n-2) div m, the quotient of A = A1 X^n + A0
+    (deg A0 < n) is exactly (A1 * mu) div X^(n-2), so a remainder costs two
+    products and no division. mu is the reversal of 1/rev(m) mod X^(n-1),
+    found by Newton iteration; m need not be monic. Requires n >= 2.
+    """
+    n = degree(m)
+    if n < 2:
+        raise ValueError("the Barrett reducer needs a modulus of degree >= 2")
+    prec = n - 1
+    rev = m[::-1]
+    inv = [pow(rev[0], p - 2, p)]
+    k = 1
+    while k < prec:
+        # g <- g (2 - rev g) doubles the number of correct coefficients
+        k = min(2 * k, prec)
+        inv = mul(inv, sub([2], mul(rev[:k], inv, p)[:k], p), p)[:k]
+    mu = (inv + [0] * prec)[prec - 1 :: -1]
+
+    def reduce(a: list[int]) -> list[int]:
+        if len(a) <= n:
+            return a
+        q = mul(a[n:], mu, p)[n - 2 :]
+        return sub(a[:n], mul(q, m, p)[:n], p)
+
+    return reduce
 
 
 def powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """a^e mod m by square and multiply."""
+    """a^e mod m by square and multiply.
+
+    At modulus degree PACKED_DEGREE and above the products are packed and
+    each remainder is a Barrett step; below it, schoolbook products and
+    long division.
+    """
+    barrett = barrett_reducer(m, p) if degree(m) >= PACKED_DEGREE else None
     result = [1]
     base = mod(a, m, p)
     while e:
         if e & 1:
-            result = mod(mul(result, base, p), m, p)
-        base = mod(mul(base, base, p), m, p)
+            result = mul(result, base, p)
+            result = barrett(result) if barrett else mod(result, m, p)
+        base = mul(base, base, p)
+        base = barrett(base) if barrett else mod(base, m, p)
         e >>= 1
     return result
 

@@ -100,7 +100,13 @@ def distinguished_handle(g: PGL2, conductor: int) -> PrimeIdealHandle:
 
 
 def root_relabel_map(g: PGL2, conductor: int) -> dict[tuple[int, ...], int]:
-    """factor -> least unit exponent a with factor(gen^a) = 0 in the tower."""
+    """factor -> least unit exponent a with factor(gen^a) = 0 in the tower.
+
+    The units j whose roots gen^(base * j) share a minimal polynomial are
+    one Frobenius orbit {j p^i mod conductor}, so the walk takes the units
+    in ascending order and computes one minimal polynomial per orbit, at
+    its least member.
+    """
     cache = g._relabel_cache
     out = cache.get(conductor)
     if out is not None:
@@ -108,11 +114,15 @@ def root_relabel_map(g: PGL2, conductor: int) -> dict[tuple[int, ...], int]:
     t = g.tower
     base = t.order // conductor
     out = {}
+    seen: set[int] = set()
     for j in range(1, conductor):
-        if math.gcd(j, conductor) != 1:
+        if j in seen or math.gcd(j, conductor) != 1:
             continue
-        key = tuple(t.minpoly(base * j % t.order))
-        out.setdefault(key, j)
+        i = j
+        while i not in seen:
+            seen.add(i)
+            i = i * g.p % conductor
+        out.setdefault(tuple(t.minpoly(base * j % t.order)), j)
     cache[conductor] = out
     return out
 

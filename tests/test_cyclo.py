@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,22 @@ def _row_reduce(ring, vec):
         for i, r in enumerate(ring.row(e)):
             out[i] += vec[e] * r
     return tuple(out)
+
+
+def test_ring_at_large_conductor_builds_fast():
+    # rows start at X^phi(k): at k = 193^2 - 1 the identity rows below
+    # phi(k) = 12288 alone took seconds to build
+    k = 193**2 - 1
+    start = time.perf_counter()
+    ring = CycRing.get(k)
+    assert time.perf_counter() - start < 1.0
+    assert ring.row(ring.deg) == tuple(-c for c in cyclotomic_poly(k)[:-1])
+    assert ring.row(k + ring.deg) == ring.row(ring.deg)
+    with pytest.raises(ValueError):
+        ring.row(ring.deg - 1)
+    z = CycNum.from_counter(k, {ring.deg: 1, 1: 2})
+    want = cmath.exp(2j * cmath.pi * ring.deg / k) + 2 * cmath.exp(2j * cmath.pi / k)
+    assert cmath.isclose(z.to_complex(), want, abs_tol=1e-9)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 9, 12, 16, 30, 49, 97, 105, 192, 194])

@@ -246,6 +246,67 @@ def test_first_primitive_modulus_matches_reference(p, m):
     assert gfpoly.first_primitive_modulus(p, m) == canonical_modulus(p, m)
 
 
+def reference_tables(p, m, modulus):
+    """Reference: the exp/dlog/Zech tables digit by digit, as towers built
+    them before the packed walk; a repeated power means X is not primitive."""
+    order = p**m - 1
+    exp_table = [0] * order
+    dlog = [None] * p**m
+    cur = [1] + [0] * (m - 1)
+    for e in range(order):
+        pk = 0
+        for c in reversed(cur):
+            pk = pk * p + c
+        if dlog[pk] is not None:
+            raise ValueError("modulus is not primitive")
+        exp_table[e] = pk
+        dlog[pk] = e
+        lead = cur[m - 1]
+        nxt = [0] + cur[: m - 1]
+        if lead:
+            for i in range(m):
+                nxt[i] = (nxt[i] - lead * modulus[i]) % p
+        cur = nxt
+    assert cur == [1] + [0] * (m - 1)
+    zech = [None] * order
+    for e in range(order):
+        pk = exp_table[e]
+        c0 = pk % p
+        pk2 = pk - c0 + (c0 + 1) % p
+        zech[e] = dlog[pk2] if pk2 else None
+    return exp_table, dlog, zech
+
+
+def _assert_reference_tables(t):
+    want = reference_tables(t.p, t.m, t.modulus)
+    assert (t._exp, t._dlog, t._zech) == want
+
+
+@pytest.mark.parametrize("p, m", TOWER_DEGREES)
+def test_tables_match_reference(p, m):
+    _assert_reference_tables(FieldTower(p, m))
+
+
+def test_pinned_tower_tables_match_reference():
+    t = build_tower(7, 4, subfield_modulus=(2, [3, 6, 1]))
+    assert t.modulus != gfpoly.first_primitive_modulus(7, 4)
+    _assert_reference_tables(t)
+
+
+def test_non_primitive_modulus_rejected():
+    # x^2 + 1 is irreducible mod 7, but x has order 4, not 48
+    assert gfpoly.is_irreducible([1, 0, 1], 7)
+    with pytest.raises(ValueError, match="not primitive"):
+        reference_tables(7, 2, [1, 0, 1])
+    with pytest.raises(ValueError, match="not primitive"):
+        FieldTower(7, 2, modulus=[1, 0, 1])
+    # the same on the table path (m >= 3): x^3 - 2 mod 7 is irreducible
+    # and x has order 9, not 342
+    assert gfpoly.is_irreducible([5, 0, 0, 1], 7)
+    with pytest.raises(ValueError, match="not primitive"):
+        FieldTower(7, 3, modulus=[5, 0, 0, 1])
+
+
 def test_pinned_subfield_modulus():
     # the quadratic subfield generator's minimal polynomial is forced
     pin = [3, 6, 1]

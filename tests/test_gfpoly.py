@@ -3,6 +3,10 @@
 import itertools
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from toric_correlator import gfpoly
 
 
@@ -40,21 +44,6 @@ def test_divmod_reconstructs():
         back = gfpoly.add(gfpoly.mul(q, b, p), r, p)
         assert back == a
         assert gfpoly.degree(r) < gfpoly.degree(b)
-
-
-def test_xgcd_bezout():
-    rng = random.Random(13)
-    for _ in range(40):
-        p = rng.choice((3, 5, 7))
-        a = rand_poly(rng, p, 6)
-        b = rand_poly(rng, p, 6)
-        if not a or not b:
-            continue
-        d, u, v = gfpoly.xgcd(a, b, p)
-        lhs = gfpoly.add(gfpoly.mul(u, a, p), gfpoly.mul(v, b, p), p)
-        assert lhs == d
-        assert gfpoly.mod(a, d, p) == []
-        assert gfpoly.mod(b, d, p) == []
 
 
 def test_irreducibility_by_counting_roots():
@@ -103,3 +92,91 @@ def test_equal_degree_factor_splits_cyclotomic():
             assert gfpoly.is_irreducible(part, p)
             prod = gfpoly.mul(prod, part, p)
         assert prod == gfpoly.monic(f, p)
+
+
+def schoolbook_powmod(a, e, m, p):
+    """Reference: square and multiply with schoolbook products and long
+    division, as powmod ran before packing."""
+    result = [1]
+    base = gfpoly.mod(a, m, p)
+    while e:
+        if e & 1:
+            result = gfpoly.mod(naive_mul(result, base, p), m, p)
+        base = gfpoly.mod(naive_mul(base, base, p), m, p)
+        e >>= 1
+    return result
+
+
+PRIMES = (3, 5, 7, 17, 19, 29, 31)
+
+
+def poly(p, max_degree, monic=False):
+    """Polynomials with a length drawn uniformly up to max_degree + 1 (the
+    zero polynomial too, unless monic), so draws land on both sides of
+    PACKED_DEGREE."""
+    coeffs = st.integers(0, max_degree).flatmap(
+        lambda n: st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    )
+    if monic:
+        return coeffs.map(lambda c: c + [1])
+    return coeffs.map(gfpoly.trim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_mul_matches_schoolbook(data):
+    # degrees 0-400 reach both sides of PACKED_DEGREE
+    p = data.draw(st.sampled_from(PRIMES))
+    a = data.draw(poly(p, 400))
+    b = data.draw(poly(p, 400))
+    assert gfpoly.mul(a, b, p) == naive_mul(a, b, p)
+    # a square packs its operand once
+    assert gfpoly.mul(a, a, p) == gfpoly.mul(a, list(a), p)
+
+
+def test_mul_packs_both_sides_of_the_cutoff():
+    rng = random.Random(3)
+    # mul packs from PACKED_DEGREE - 1 coefficients on
+    cut = gfpoly.PACKED_DEGREE - 1
+    for p in PRIMES:
+        for n in (cut - 1, cut, cut + 1, 64, 400):
+            a = [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)]
+            b = [rng.randrange(p) for _ in range(n + 3)] + [p - 1]
+            assert gfpoly.mul(a, b, p) == naive_mul(a, b, p)
+    # operands of all p - 1 give the largest lane sums for their length
+    p = 31
+    a = [p - 1] * 400
+    assert gfpoly.mul(a, a, p) == naive_mul(a, a, p)
+    # sums that cannot fit a 64-bit lane are refused, not wrapped
+    big = 2**31 - 1
+    with pytest.raises(ValueError, match="lane"):
+        gfpoly.mul([big - 1] * 10, [big - 1] * 10, big)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_barrett_remainder_matches_divmod(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    n = data.draw(st.integers(2, 400))
+    m = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    m = m + [data.draw(st.integers(1, p - 1))]  # not necessarily monic
+    reduce = gfpoly.barrett_reducer(m, p)
+    a = data.draw(poly(p, 2 * n - 2))
+    q, r = gfpoly.divmod_poly(a, m, p)
+    assert reduce(a) == r
+    assert gfpoly.add(naive_mul(q, m, p), r, p) == a
+
+
+def test_barrett_reducer_rejects_low_degree():
+    with pytest.raises(ValueError):
+        gfpoly.barrett_reducer([1, 1], 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_powmod_matches_schoolbook(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    m = data.draw(poly(p, 150, monic=True))
+    a = data.draw(poly(p, 400))
+    e = data.draw(st.integers(0, 300))
+    assert gfpoly.powmod(a, e, m, p) == schoolbook_powmod(a, e, m, p)

@@ -26,6 +26,7 @@ from toric_correlator.modp import (
     prime_handles,
     relabeled_r,
     rep_conductor,
+    root_relabel_map,
 )
 
 
@@ -133,6 +134,27 @@ def test_tower_reduction_matches_horner(p, f, pin, listed, distinguished):
             assert h.reduce(z) == t.eval_poly(horner_reduce(h, z), h.root)
         with pytest.raises(ValueError):
             h.reduce(CycNum.rational(Fraction(1, p)))
+
+
+def brute_relabel_map(g, conductor):
+    """Reference: one minimal polynomial per unit, the least unit kept."""
+    t = g.tower
+    base = t.order // conductor
+    out = {}
+    for j in range(1, conductor):
+        if math.gcd(j, conductor) == 1:
+            out.setdefault(tuple(t.minpoly(base * j % t.order)), j)
+    return out
+
+
+@pytest.mark.parametrize("p, f, pin, listed, distinguished", HANDLE_CASES)
+def test_relabel_map_matches_per_unit_brute_force(p, f, pin, listed, distinguished):
+    # the orbit walk computes one minimal polynomial per Frobenius orbit
+    g = PGL2(p, f, chi_modulus=None if pin is None else list(pin))
+    for k in sorted({*listed, *distinguished}):
+        got = root_relabel_map(g, k)
+        assert got == brute_relabel_map(g, k)
+        assert list(got.items()) == list(brute_relabel_map(g, k).items())
 
 
 def test_prime_handles_cross_check_factorization(monkeypatch):
