@@ -22,7 +22,6 @@ import sys
 from .correlation import (
     correlate_all,
     corr_constant,
-    pair_class_counts,
     regular_identity,
     tensor_identity,
     unipotent_pair_report,
@@ -71,12 +70,11 @@ def cmd_correlate(args) -> int:
     g = build_group(args.p, args.f, args.modulus)
     if args.rep:
         reps = [parse_rep(args.rep)]
-        counts = pair_class_counts(g)
         from .correlation import RepRecord, epsilon
 
         records = []
         for rep in reps:
-            val = corr_constant(g, rep, counts)
+            val = corr_constant(g, rep)
             eps = epsilon(g, rep)
             records.append(
                 RepRecord(
@@ -226,11 +224,10 @@ def cmd_shintani(args) -> int:
         if not js:
             print(f"no regular twisted characters for F_{q_base} -> F_{g.q}")
             return 0
-    counts = pair_class_counts(g)
     reports = []
     failed = 0
     for j in js:
-        rpt = theorem_report(g, q_base, j, counts)
+        rpt = theorem_report(g, q_base, j)
         checked = False
         if args.check_operator:
             ShintaniOperator(g, q_base, j).check_all()
@@ -278,9 +275,8 @@ def _suite_regular(sel=None):
     fields = _sel_fields(sel, ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)))
     for p, f in fields:
         g = PGL2(p, f)
-        counts = pair_class_counts(g)
-        regular_identity(g, counts)
-        rpt = unipotent_pair_report(g, counts)
+        regular_identity(g)
+        rpt = unipotent_pair_report(g)
         if not rpt["agrees_with_q_rule"]:
             raise ConsistencyError(f"unipotent count rule fails for q = {g.q}")
         yield f"regular identity and unipotent count, q = {g.q}"
@@ -303,11 +299,10 @@ def _suite_epsilon(sel=None):
 def _suite_ps_model(sel=None):
     for p, f in _sel_fields(sel, ((5, 1), (7, 1), (3, 2))):
         g = PGL2(p, f)
-        counts = pair_class_counts(g)
         for r in range(1, (g.q - 1) // 2):
             model = PsModel(g, r)
             model.consistency_check()
-            if model.model_constant() != corr_constant(g, ("ps", r), counts):
+            if model.model_constant() != corr_constant(g, ("ps", r)):
                 raise ConsistencyError(f"model constant differs at r = {r}")
         yield f"induced-model invariance and constants, q = {g.q}"
 
@@ -332,11 +327,10 @@ def _suite_diamond(sel=None):
 
     for p, f in _sel_fields(sel, ((5, 1), (7, 1), (3, 2))):
         g = PGL2(p, f)
-        counts = pair_class_counts(g)
         for rep in g.reps():
             if rep[0] not in ("ps", "cusp"):
                 continue
-            rpt = diamond_check(g, rep, corr_constant(g, rep, counts))
+            rpt = diamond_check(g, rep, corr_constant(g, rep))
             if not rpt.ok():
                 raise ConsistencyError(f"reduction cross-check fails for {rep}")
         yield f"constituent reduction cross-checks, q = {g.q}"
@@ -363,12 +357,11 @@ def _suite_shintani(sel=None):
         if not js:
             yield f"no regular twisted characters, F_{q_base} -> F_{g.q}"
             return
-        counts = pair_class_counts(g)
         small = g.q <= 81
         for j in js:
             if small:
                 ShintaniOperator(g, q_base, j).check_all()
-            if not theorem_report(g, q_base, j, counts).sign_rule_ok:
+            if not theorem_report(g, q_base, j).sign_rule_ok:
                 raise ConsistencyError(f"descent sign rule fails at j = {j}")
         ops = "operator and descent sign rule" if small else "descent sign rule"
         yield f"{ops}, F_{q_base} -> F_{g.q} ({len(js)} characters)"
@@ -380,18 +373,16 @@ def _suite_shintani(sel=None):
     for j in (2, 4):
         ShintaniOperator(g, 3, j).check_all()
     yield "twisted intertwiner, F_3 -> F_9"
-    counts = pair_class_counts(g)
     for j in (2, 4):
-        if not theorem_report(g, 3, j, counts).sign_rule_ok:
+        if not theorem_report(g, 3, j).sign_rule_ok:
             raise ConsistencyError(f"descent sign rule fails at j = {j}")
     yield "descent sign rule, F_3 -> F_9"
     lemma_checks(g, 3)
     norm_map_check(g, 3)
     yield "character-sum lemmas and norm stability, F_3 -> F_9"
     g25 = PGL2(5, 2)
-    counts25 = pair_class_counts(g25)
     for j in (4, 6, 8):
-        if not theorem_report(g25, 5, j, counts25).sign_rule_ok:
+        if not theorem_report(g25, 5, j).sign_rule_ok:
             raise ConsistencyError(f"descent sign rule fails at j = {j}")
     yield "descent sign rule, F_5 -> F_25"
 

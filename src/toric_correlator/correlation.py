@@ -21,10 +21,25 @@ folded through the invariant tr^2/det so that only O(q) of them are
 classified one by one), and for each torus the class multiset of its
 trace-zero products h k_0 or h_0 k (they fall into at most two classes).
 Per representation only the character values are summed against these
-class counts. The memo replaces repeated classification, not any of the
-three sign routes: each average is still taken over its own torus and
-compared with the closed form, so a wrong character value, torus or class
-still shows up as a disagreement.
+class counts, and the constant itself is memoized on the group too, so
+correlate_all, regular_identity, the mod-p reports, the base-change
+reports and the CLI all share one value per representation. An explicit
+counts argument bypasses that memo in both directions.
+
+The two large families are summed by kernel rather than class by class:
+ps r reads only the split-class counts, at the exponents +-r e (q + 1),
+and cusp r only the elliptic-class counts, at -+r j (q - 1); the four
+one-dimensional and Steinberg-type representations keep the generic loop
+over char_counter, which stays the test reference for the kernels. The
+regular identity embeds every memoized constant at conductor q^2 - 1 into
+one counter and reduces it once, so it checks exactly the values that
+correlate_all reports.
+
+The memos replace repeated work, not any of the three sign routes: each
+average is still taken over its own torus and compared with the closed
+form, so a wrong character value, torus or class still shows up as a
+disagreement. Folding them into a shared value would leave nothing to
+disagree.
 """
 
 from __future__ import annotations
@@ -93,16 +108,59 @@ def _classify_pairs(g: PGL2) -> dict[Label, int]:
 
 
 def corr_constant(g: PGL2, rep: Label, counts: dict[Label, int] | None = None) -> CycNum:
-    """The correlation constant c(rep), exact."""
-    if counts is None:
-        counts = pair_class_counts(g)
+    """The correlation constant c(rep), exact.
+
+    Memoized on the group. An explicit counts dict is summed as given, and
+    its value is neither read from nor written to the memo.
+    """
+    g.check_rep(rep)
+    if counts is not None:
+        return _constant(g, rep, counts)
+    val = g._const_cache.get(rep)
+    if val is None:
+        if g._pair_counts is None:
+            pair_class_counts(g)
+        val = g._const_cache[rep] = _constant(g, rep, g._pair_counts)
+    return val
+
+
+def _constant(g: PGL2, rep: Label, counts: dict[Label, int]) -> CycNum:
     kk = g.q**2 - 1
+    return CycNum.from_counter(kk, _constant_counter(g, rep, counts)) / kk
+
+
+def _constant_counter(g: PGL2, rep: Label, counts: dict[Label, int]) -> dict[int, int]:
+    """Sum over classes of count * chi_rep(class), as an exponent counter
+    modulo q^2 - 1; rep must already be checked."""
+    q = g.q
+    kind = rep[0]
     total: dict[int, int] = {}
+    if kind not in ("ps", "cusp"):
+        for cls, n in counts.items():
+            if n:
+                for e, c in g.char_counter(rep, cls).items():
+                    total[e] = total.get(e, 0) + n * c
+        return total
+    # the family kernels: ps r is zeta^(+-r e (q+1)) on split class e and
+    # vanishes on elliptic classes; cusp r is -zeta^(+-r j (q-1)) on
+    # elliptic class j (the pair of an eigenvalue dlog q + 1 - j) and
+    # vanishes on split classes
+    n_id = counts.get(("id",), 0)
+    n_unip = counts.get(("unip",), 0)
+    if kind == "ps":
+        family, sign, step = "split", 1, rep[1] * (q + 1)
+        total[0] = (q + 1) * n_id + n_unip
+    else:
+        family, sign, step = "ell", -1, rep[1] * (q - 1)
+        total[0] = (q - 1) * n_id - n_unip
+    kk = q * q - 1
     for cls, n in counts.items():
-        if n:
-            for e, c in g.char_counter(rep, cls).items():
-                total[e] = total.get(e, 0) + n * c
-    return CycNum.from_counter(kk, total) / kk
+        if n and cls[0] == family:
+            ex = cls[1] * step % kk
+            total[ex] = total.get(ex, 0) + sign * n
+            ex = -ex % kk
+            total[ex] = total.get(ex, 0) + sign * n
+    return total
 
 
 def epsilon_closed(g: PGL2, rep: Label) -> int | None:
@@ -184,14 +242,24 @@ def regular_identity(g: PGL2, counts: dict[Label, int] | None = None) -> None:
     """sum over pi of dim(pi) * c(pi) must equal q exactly.
 
     Equivalent to H and K meeting only in the identity; raises on failure.
+    Each constant's coordinates are embedded at conductor q^2 - 1 into one
+    counter, which is reduced once.
     """
-    if counts is None:
-        counts = pair_class_counts(g)
-    total = CycNum.rational(0)
+    kk = g.q**2 - 1
+    total: dict[int, Fraction] = {}
     for rep in g.reps():
-        total = total + g.dim(rep) * corr_constant(g, rep, counts)
-    if total != g.q:
-        raise ConsistencyError(f"regular identity fails: {total} != {g.q}")
+        val = corr_constant(g, rep, counts)
+        if kk % val.k:
+            raise ConsistencyError(f"c({rep}) has conductor {val.k}, not a divisor of {kk}")
+        step = kk // val.k
+        dim = g.dim(rep)
+        for i, c in enumerate(val.coeffs):
+            if c:
+                e = i * step
+                total[e] = total.get(e, 0) + dim * c
+    got = CycNum.from_counter(kk, total)
+    if got != g.q:
+        raise ConsistencyError(f"regular identity fails: {got} != {g.q}")
 
 
 def enumerate_group(g: PGL2) -> list[Mat]:
@@ -281,10 +349,9 @@ def correlate_all(g: PGL2) -> list[RepRecord]:
     failure; epsilon = +1 with a vanishing constant is legal (and occurs
     only over non-prime fields).
     """
-    counts = pair_class_counts(g)
     out = []
     for rep in g.reps():
-        val = corr_constant(g, rep, counts)
+        val = corr_constant(g, rep)
         eps = epsilon(g, rep)
         vanishes = val.is_zero()
         ok = None if eps is None else (eps == 1 or vanishes)

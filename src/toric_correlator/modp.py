@@ -294,12 +294,9 @@ def rep_report(
 
 def sweep(g: PGL2, seed: int = 0) -> list[ModpReport]:
     """Reports for every multiplicity-one representation."""
-    from .correlation import pair_class_counts
-
-    counts = pair_class_counts(g)
     out = []
     for rep in g.reps():
         if rep[0] in ("eta", "st"):
             continue
-        out.append(rep_report(g, rep, corr_constant(g, rep, counts), seed))
+        out.append(rep_report(g, rep, seed=seed))
     return out

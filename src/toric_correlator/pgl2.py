@@ -52,27 +52,6 @@ def mat_trace(t: FieldTower, x: Mat) -> FqElem:
     return t.add(x[0], x[3])
 
 
-def mat_inv(t: FieldTower, x: Mat) -> Mat:
-    a, b, c, d = x
-    di = t.inv(mat_det(t, x))
-    return (t.mul(d, di), t.mul(t.neg(b), di), t.mul(t.neg(c), di), t.mul(a, di))
-
-
-def mat_eq_projective(t: FieldTower, x: Mat, y: Mat) -> bool:
-    """Equality in PGL2: x = c*y for a scalar c."""
-    c = None
-    for u, v in zip(x, y):
-        if (u is None) != (v is None):
-            return False
-        if u is not None:
-            r = t.div(u, v)
-            if c is None:
-                c = r
-            elif r != c:
-                return False
-    return c is not None
-
-
 class PGL2:
     """PGL2(F_q) with its class data, character table and tori."""
 
@@ -99,6 +78,7 @@ class PGL2:
         self._value_cache: dict[tuple[Label, Label], CycNum] = {}
         self._invdim_cache: dict[Label, tuple[int, int]] = {}
         self._pair_counts: dict[Label, int] | None = None
+        self._const_cache: dict[Label, CycNum] = {}
         self._sign_classes: dict[str, dict[Label, int]] = {}
         self._relabel_cache: dict[int, dict[tuple[int, ...], int]] = {}
         self._handle_cache: dict[int, list[PrimeIdealHandle]] = {}

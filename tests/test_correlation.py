@@ -16,11 +16,34 @@ from toric_correlator import (
     tensor_identity,
 )
 from toric_correlator.correlation import (
+    _constant_counter,
     epsilon_h_average,
     epsilon_k_average,
     unipotent_pair_report,
 )
+from toric_correlator.fields import ConsistencyError
 from toric_correlator.pgl2 import mat_mul
+
+
+def reference_corr_constant(g, rep, counts=None):
+    """c(rep) summed class by class through char_counter, uncached."""
+    if counts is None:
+        counts = pair_class_counts(g)
+    kk = g.q**2 - 1
+    total = {}
+    for cls, n in counts.items():
+        if n:
+            for e, c in g.char_counter(rep, cls).items():
+                total[e] = total.get(e, 0) + n * c
+    return CycNum.from_counter(kk, total) / kk
+
+
+# every odd prime power up to 49
+SMALL_FIELDS = [
+    (3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1),
+    (23, 1), (5, 2), (3, 3), (29, 1), (31, 1), (37, 1), (41, 1), (43, 1),
+    (47, 1), (7, 2),
+]
 
 
 # frozen exact constants for PGL2(F_5), computed once and pinned
@@ -188,3 +211,77 @@ def test_records_shape(g5):
 def test_bad_rep_label_raises(g5):
     with pytest.raises((KeyError, ValueError)):
         corr_constant(g5, ("ps", 99))
+
+
+@pytest.mark.parametrize("p, f", SMALL_FIELDS)
+def test_family_kernels_match_char_counter_reference(p, f):
+    g = PGL2(p, f)
+    counts = pair_class_counts(g)
+    for rep in g.reps():
+        want = reference_corr_constant(g, rep)
+        assert corr_constant(g, rep) == want
+        assert corr_constant(g, rep, counts) == want
+
+
+@pytest.mark.parametrize("p, f", [(7, 1), (3, 2), (5, 2), (7, 2)])
+def test_shifted_kernel_exponent_disagrees_with_reference(p, f):
+    # moving one class's mass to the neighbouring exponent of its family
+    # must change the value, so the reference comparison has teeth
+    g = PGL2(p, f)
+    counts = pair_class_counts(g)
+    kk = g.q**2 - 1
+    for rep in g.reps():
+        if rep[0] not in ("ps", "cusp"):
+            continue
+        total = _constant_counter(g, rep, counts)
+        ex = next(e for e, c in sorted(total.items()) if e and c)
+        shift = (g.q + 1) if rep[0] == "ps" else (g.q - 1)
+        total[(ex + shift) % kk] = total.get((ex + shift) % kk, 0) + total.pop(ex)
+        bad = CycNum.from_counter(kk, total) / kk
+        assert bad != reference_corr_constant(g, rep, counts)
+
+
+def test_constant_memo_is_per_group():
+    g1, g2 = PGL2(7, 1), PGL2(7, 1)
+    val = corr_constant(g1, ("cusp", 1))
+    assert g1._const_cache == {("cusp", 1): val}
+    assert g2._const_cache == {}
+    assert corr_constant(g2, ("cusp", 1)) == val
+    assert g2._const_cache[("cusp", 1)] is not val
+
+
+def test_explicit_counts_bypass_the_memo():
+    g = PGL2(7, 1)
+    rep = ("ps", 2)
+    cached = corr_constant(g, rep)
+    before = dict(g._const_cache)
+    counts = pair_class_counts(g)
+    counts[("split", 1)] += 1
+    counts[("split", 3)] -= 1
+    got = corr_constant(g, rep, counts)
+    assert got == reference_corr_constant(g, rep, counts)
+    assert got != cached
+    assert g._const_cache == before and g._const_cache[rep] is before[rep]
+    # an explicit dict fills nothing either
+    fresh = PGL2(7, 1)
+    corr_constant(fresh, rep, pair_class_counts(fresh))
+    assert fresh._const_cache == {}
+
+
+def test_regular_identity_checks_the_memoized_constants():
+    g = PGL2(7, 1)
+    regular_identity(g)
+    assert set(g._const_cache) == set(g.reps())
+    rep = ("cusp", 1)
+    g._const_cache[rep] = g._const_cache[rep] + CycNum.zeta(8)
+    with pytest.raises(ConsistencyError):
+        regular_identity(g)
+    # the explicit-counts route recomputes and still passes
+    regular_identity(g, pair_class_counts(g))
+
+
+def test_bad_rep_label_raises_before_memo_lookup():
+    g = PGL2(5, 1)
+    g._const_cache[("ps", 99)] = CycNum.rational(0)
+    with pytest.raises(ValueError):
+        corr_constant(g, ("ps", 99))
