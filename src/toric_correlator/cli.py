@@ -23,6 +23,7 @@ from .correlation import (
     correlate_all,
     corr_constant,
     regular_identity,
+    rep_record,
     tensor_identity,
     unipotent_pair_report,
 )
@@ -69,23 +70,7 @@ def _rep_name(rep: Label) -> str:
 def cmd_correlate(args) -> int:
     g = build_group(args.p, args.f, args.modulus)
     if args.rep:
-        reps = [parse_rep(args.rep)]
-        from .correlation import RepRecord, epsilon
-
-        records = []
-        for rep in reps:
-            val = corr_constant(g, rep)
-            eps = epsilon(g, rep)
-            records.append(
-                RepRecord(
-                    rep,
-                    g.dim(rep),
-                    val,
-                    eps,
-                    val.is_zero(),
-                    None if eps is None else (eps == 1 or val.is_zero()),
-                )
-            )
+        records = [rep_record(g, parse_rep(args.rep))]
     else:
         records = correlate_all(g)
     if args.format == "json":

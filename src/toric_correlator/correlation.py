@@ -341,19 +341,21 @@ class RepRecord:
         }
 
 
-def correlate_all(g: PGL2) -> list[RepRecord]:
-    """Correlation constant, sign and sign-criterion verdict for each rep.
+def rep_record(g: PGL2, rep: Label) -> RepRecord:
+    """Correlation constant, sign and sign-criterion verdict of one rep.
 
     For multiplicity-one reps the criterion is one-directional: epsilon =
-    -1 forces the constant to vanish. A False anywhere is a genuine
-    failure; epsilon = +1 with a vanishing constant is legal (and occurs
-    only over non-prime fields).
+    -1 forces the constant to vanish. A False is a genuine failure;
+    epsilon = +1 with a vanishing constant is legal (and occurs only over
+    non-prime fields).
     """
-    out = []
-    for rep in g.reps():
-        val = corr_constant(g, rep)
-        eps = epsilon(g, rep)
-        vanishes = val.is_zero()
-        ok = None if eps is None else (eps == 1 or vanishes)
-        out.append(RepRecord(rep, g.dim(rep), val, eps, vanishes, ok))
-    return out
+    val = corr_constant(g, rep)
+    eps = epsilon(g, rep)
+    vanishes = val.is_zero()
+    ok = None if eps is None else (eps == 1 or vanishes)
+    return RepRecord(rep, g.dim(rep), val, eps, vanishes, ok)
+
+
+def correlate_all(g: PGL2) -> list[RepRecord]:
+    """The rep_record of every irreducible representation, in g.reps() order."""
+    return [rep_record(g, rep) for rep in g.reps()]

@@ -1,230 +1,258 @@
-"""Explicit induced model of the principal series Ps(chi^r).
+"""The induced model of a principal series, as monomial tables.
 
-The representation space has the q + 1 basis vectors
+The induced representation of chi^j (chi the canonical character of
+F_q^*, j any exponent) has the q + 1 basis vectors
 
     key -2        f       (the function supported at infinity)
     key -1        f_0     (lambda = 0)
     key e >= 0    f_lam   (lambda the e-th power of the F_q generator)
 
-and vectors are dicts key -> CycNum. The generators act by
+and the generators act by
 
     diag(a, 1):  f -> chi(a) f,   f_lam -> chi^(-1)(a) f_{a lam}
     u(b):        f -> f,          f_lam -> f_{lam - b}
     w:           f -> f_0,        f_0 -> f,  f_lam -> chi(-lam^2) f_{1/lam}
 
-and a general matrix acts through its Bruhat factorization. All three
-generators act by monomial matrices whose nonzero entries are roots of
-unity, so the standard inner product (orthonormal f-basis) is invariant
-and exact correlation inner products agree with the class-function
-computation in correlation.py.
+Each sends a basis vector to a root of unity times a basis vector, so it
+is a monomial table key -> (image key, exponent of zeta_(q-1)), and a
+general matrix gets its table by composing the tables of its Bruhat
+factorization. The standard inner product (orthonormal f-basis) is
+invariant.
 
-The H-average and K-average fixed vectors have the closed forms v_H and
-v_K below, and their inner product collapses to the character sum
+Scaled by |H| = q - 1 and |K| = q + 1, the H-fixed and K-fixed vectors
+are one root of unity per key too, so they are tables key -> exponent:
+
+    (q - 1) v_H       = sum over lam != 0 of chi^(-1)(lam) f_lam
+    (q + 1) v_K(a')   = f + sum over lam of chi^(-1)(a' - lam^2) f_lam
+
+for a nonsquare a' (the torus K_a'). Since zeta^a = zeta^b only for
+a = b mod q - 1, a vector is fixed exactly when its table is unchanged,
+an exact comparison of integers. The inner product of two such vectors
+is a counter (exponent -> multiplicity) that one CycNum.from_counter
+turns into a number, and (q^2 - 1) <v_H, v_K> collapses to the
+character sum
 
     S = sum over lam != 0 of chi(alpha/lam - lam),
 
-so <v_H, v_K> = S / (|H| |K|) and the normalized squared correlation is
-|S|^2 / (q^2 - 1).
+so the normalized squared correlation is |S|^2 / (q^2 - 1).
+
+PsModel is this model for an irreducible Ps(chi^r), with the checks of
+these facts; the Shintani operator of shintani.py acts on the same model
+for any base-change exponent. Its powers are sums that need not be one
+root of unity per key, so it also uses counter vectors key -> counter.
 """
 
 from __future__ import annotations
 
-import math
-
-from .chars import AddChar, MulChar
 from .cyclo import CycNum
 from .fields import ConsistencyError, FqElem
-from .pgl2 import PGL2, Label, Mat, mat_det, mat_mul
-
-Vector = dict[int, CycNum]
+from .pgl2 import PGL2, Mat, mat_det
 
 INF_KEY = -2
 ZERO_KEY = -1
 
+# key -> zeta exponent: one root of unity per key
+MVec = dict[int, int]
+# key -> (image key, zeta exponent): a monomial matrix, as a group action
+MonoMap = dict[int, tuple[int, int]]
+# key -> (zeta exponent -> integer coefficient)
+CVec = dict[int, dict[int, int]]
 
-class PsModel:
-    """Induced model of Ps(chi^r) on PGL2(F_q)."""
 
-    def __init__(self, g: PGL2, r: int):
-        q = g.q
-        if not 1 <= r <= (q - 3) // 2:
-            raise ValueError(f"r = {r} is not an irreducible principal series label")
+class InducedModel:
+    """The induced representation of chi^j on PGL2(F_q), for any j."""
+
+    def __init__(self, g: PGL2, j: int):
         self.g = g
-        self.r = r
-        self.chi = MulChar(q - 1, r)
+        self.kk = g.q - 1
+        self.j = j % self.kk
 
     # -- keys ---------------------------------------------------------------
 
     def key_of(self, lam: FqElem) -> int:
-        if lam is None:
-            return ZERO_KEY
-        return self.g.sub_dlog(lam)
+        return ZERO_KEY if lam is None else self.g.sub_dlog(lam)
 
     def lam_of(self, key: int) -> FqElem:
-        if key == ZERO_KEY:
-            return None
-        return self.g.sub_exp(key)
+        return None if key == ZERO_KEY else self.g.sub_exp(key)
+
+    def finite_keys(self) -> list[int]:
+        """The keys of the f_lam, lam = 0 first."""
+        return [ZERO_KEY] + list(range(self.kk))
 
     def basis_keys(self) -> list[int]:
-        return [INF_KEY, ZERO_KEY] + list(range(self.g.q - 1))
+        return [INF_KEY] + self.finite_keys()
 
-    # -- generator actions ----------------------------------------------------
+    def chi_exp(self, x: FqElem) -> int:
+        """Exponent of chi^j at a nonzero element of F_q."""
+        return self.j * self.g.sub_dlog(x) % self.kk
 
-    def _chi_val(self, x: FqElem) -> CycNum:
-        return CycNum.zeta(self.chi.k, self.chi.exponent_at(self.g.tower, x))
+    # -- generator tables -----------------------------------------------------
 
-    def act_diag(self, a: FqElem, vec: Vector) -> Vector:
-        t = self.g.tower
-        out: Vector = {}
-        ca = self._chi_val(a)
-        cai = ca.conj()  # chi^(-1)(a) since chi(a) is a root of unity
-        for key, c in vec.items():
-            if key == INF_KEY:
-                out[INF_KEY] = out.get(INF_KEY, CycNum.rational(0)) + ca * c
-            else:
-                nk = self.key_of(t.mul(a, self.lam_of(key)))
-                out[nk] = out.get(nk, CycNum.rational(0)) + cai * c
+    def diag(self, a: FqElem) -> MonoMap:
+        kk = self.kk
+        ea = self.chi_exp(a)
+        da = self.g.sub_dlog(a)
+        out = {INF_KEY: (INF_KEY, ea), ZERO_KEY: (ZERO_KEY, -ea % kk)}
+        for key in range(kk):
+            out[key] = ((key + da) % kk, -ea % kk)
         return out
 
-    def act_u(self, b: FqElem, vec: Vector) -> Vector:
+    def u(self, b: FqElem) -> MonoMap:
         t = self.g.tower
-        out: Vector = {}
-        for key, c in vec.items():
-            nk = key if key == INF_KEY else self.key_of(t.sub(self.lam_of(key), b))
-            out[nk] = out.get(nk, CycNum.rational(0)) + c
+        out = {INF_KEY: (INF_KEY, 0)}
+        for key in self.finite_keys():
+            out[key] = (self.key_of(t.sub(self.lam_of(key), b)), 0)
         return out
 
-    def act_w(self, vec: Vector) -> Vector:
+    def w(self) -> MonoMap:
         t = self.g.tower
-        out: Vector = {}
-        for key, c in vec.items():
-            if key == INF_KEY:
-                nk, mult = ZERO_KEY, None
-            elif key == ZERO_KEY:
-                nk, mult = INF_KEY, None
-            else:
-                lam = self.lam_of(key)
-                nk = self.key_of(t.inv(lam))
-                mult = self._chi_val(t.neg(t.mul(lam, lam)))
-            add = c if mult is None else mult * c
-            out[nk] = out.get(nk, CycNum.rational(0)) + add
+        kk = self.kk
+        out = {INF_KEY: (ZERO_KEY, 0), ZERO_KEY: (INF_KEY, 0)}
+        for key in range(kk):
+            lam = self.g.sub_exp(key)
+            out[key] = (-key % kk, self.chi_exp(t.neg(t.mul(lam, lam))))
         return out
 
-    def apply(self, mat: Mat, vec: Vector) -> Vector:
-        """Action of a matrix over F_q via its Bruhat factorization."""
+    def apply(self, mat: Mat) -> MonoMap:
+        """The table of a matrix over F_q, from its Bruhat factorization."""
         t = self.g.tower
+        kk = self.kk
         a, b, c, d = mat
         if c is None:
             # g = u(b/d) diag(a/d, 1)
-            out = self.act_diag(t.div(a, d), vec)
+            out = self.diag(t.div(a, d))
             if b is not None:
-                out = self.act_u(t.div(b, d), out)
+                out = compose(self.u(t.div(b, d)), out, kk)
             return out
-        det = mat_det(t, mat)
-        e = t.neg(t.div(det, c))
+        e = t.neg(t.div(mat_det(t, mat), c))
         # g = u(a/c) w u(d/e) diag(c/e, 1), applied rightmost-first
-        out = self.act_diag(t.div(c, e), vec)
+        out = self.diag(t.div(c, e))
         if d is not None:
-            out = self.act_u(t.div(d, e), out)
-        out = self.act_w(out)
+            out = compose(self.u(t.div(d, e)), out, kk)
+        out = compose(self.w(), out, kk)
         if a is not None:
-            out = self.act_u(t.div(a, c), out)
+            out = compose(self.u(t.div(a, c)), out, kk)
         return out
 
     # -- torus-fixed vectors ---------------------------------------------------
 
-    def vector_h(self) -> Vector:
-        """The H-average of f_1; fixed by every diag(a, 1)."""
-        q = self.g.q
-        scale = CycNum.rational(1) / (q - 1)
-        out: Vector = {}
-        for e in range(q - 1):
-            out[e] = CycNum.zeta(q - 1, -self.r * e) * scale
-        return out
+    def vector_h(self) -> MVec:
+        """(q - 1) v_H, fixed by every diag(a, 1)."""
+        return {e: -self.j * e % self.kk for e in range(self.kk)}
 
-    def vector_k(self, a: FqElem = None) -> Vector:
-        """The K_alpha'-fixed vector for alpha' = a^2 alpha (a = None: alpha)."""
+    def vector_k(self, alpha: FqElem | None = None) -> MVec:
+        """(q + 1) v_K(alpha'), fixed by the torus of the nonsquare
+        alpha' (default: the group's alpha)."""
         g = self.g
         t = g.tower
-        q = g.q
-        alpha = g.alpha if a is None else t.mul(t.mul(a, a), g.alpha)
-        scale = CycNum.rational(1) / (q + 1)
-        out: Vector = {INF_KEY: scale}
+        alpha = g.alpha if alpha is None else alpha
+        out = {INF_KEY: 0}
         for lam in g.q_elements():
             arg = t.inv(t.sub(alpha, t.mul(lam, lam)))
-            out[self.key_of(lam)] = self._chi_val(arg) * scale
+            out[self.key_of(lam)] = self.chi_exp(arg)
         return out
 
-    def inner(self, v: Vector, w: Vector) -> CycNum:
-        total = CycNum.rational(0)
-        for key, c in v.items():
-            d = w.get(key)
-            if d is not None:
-                total = total + c * d.conj()
-        return total
 
-    def corr_sum(self) -> CycNum:
-        """S = sum over lam != 0 of chi(alpha/lam - lam), as one counter."""
-        g = self.g
-        t = g.tower
-        counter: dict[int, int] = {}
-        for lam in g.q_units():
-            arg = t.sub(t.div(g.alpha, lam), lam)
-            e = self.chi.exponent_at(t, arg)
-            counter[e] = counter.get(e, 0) + 1
-        return CycNum.from_counter(self.chi.k, counter)
+class PsModel(InducedModel):
+    """Induced model of the irreducible Ps(chi^r) on PGL2(F_q)."""
+
+    def __init__(self, g: PGL2, r: int):
+        if not 1 <= r <= (g.q - 3) // 2:
+            raise ValueError(f"r = {r} is not an irreducible principal series label")
+        super().__init__(g, r)
+        self.r = r
 
     def model_constant(self) -> CycNum:
         """|S|^2 / (q^2 - 1): the normalized squared correlation."""
-        return self.corr_sum().abs2() / (self.g.q**2 - 1)
+        return model_sum(self.g, self.r).abs2() / (self.g.q**2 - 1)
 
     def consistency_check(self) -> None:
         """Invariance of v_H and v_K, the inner-product collapse, and the
         scaling rule for conjugate tori; raises on any failure."""
         g = self.g
         t = g.tower
+        kk = self.kk
         vh = self.vector_h()
         vk = self.vector_k()
         for a in g.q_units():
-            if not vector_equal(self.act_diag(a, vh), vh):
+            if act(self.diag(a), vh, kk) != vh:
                 raise ConsistencyError("v_H is not H-fixed")
         for k in g.K:
-            if not vector_equal(self.apply(k, vk), vk):
+            if act(self.apply(k), vk, kk) != vk:
                 raise ConsistencyError("v_K is not K-fixed")
-        s = self.corr_sum()
-        if self.inner(vh, vk) != s / (g.q**2 - 1):
+        # the scaled vectors turn <v_H, v_K> = S / (q^2 - 1) into S
+        s = model_sum(g, self.r)
+        if CycNum.from_counter(kk, inner_counter(vh, vk, kk)) != s:
             raise ConsistencyError("inner product does not collapse to S")
-        # conjugate torus: <v_H, v_K_a> = chi(a) <v_H, v_K>
-        for a in (t.one, g.tower.sub_exp(g.f, 1), t.power(g.alpha, (g.q - 1) // 2)):
-            lhs = self.inner(vh, self.vector_k(a))
-            if lhs != self._chi_val(a) * s / (g.q**2 - 1):
+        # conjugate torus: <v_H, v_K(a^2 alpha)> = chi(a) <v_H, v_K>
+        for a in (t.one, g.sub_exp(1), t.power(g.alpha, (g.q - 1) // 2)):
+            vka = self.vector_k(t.mul(t.mul(a, a), g.alpha))
+            lhs = CycNum.from_counter(kk, inner_counter(vh, vka, kk))
+            if lhs != CycNum.zeta(kk, self.chi_exp(a)) * s:
                 raise ConsistencyError("conjugate-torus scaling fails")
 
 
-def bessel_value(g: PGL2, rep: Label, mat: Mat) -> CycNum:
-    """Bessel function B(g) = (1/q) sum over b of psi(-b) chi_rep(g u(b)).
-
-    B(1) = 1 for every generic rep and B(h) = 0 for nontrivial h in H.
-    """
+def model_sum(g: PGL2, j: int) -> CycNum:
+    """S = sum over lam != 0 of chi^j(alpha/lam - lam), for any exponent j."""
     t = g.tower
-    q = g.q
-    psi = AddChar(g.f, t.one)
-    kk = q * q - 1
-    big = math.lcm(kk, g.p)
+    kk = g.q - 1
     counter: dict[int, int] = {}
-    one = t.one
-    for b in g.q_elements():
-        u = (one, b, None, one)
-        prod = mat_mul(t, mat, u)
-        tpsi = psi.exponent_at(t, t.neg(b)) if b is not None else 0
-        base = big // g.p * tpsi
-        for e, c in g.char_counter(rep, g.classify(prod)).items():
-            ex = (base + big // kk * e) % big
-            counter[ex] = counter.get(ex, 0) + c
-    return CycNum.from_counter(big, counter) / q
+    for lam in g.q_units():
+        arg = t.sub(t.div(g.alpha, lam), lam)
+        e = j * g.sub_dlog(arg) % kk
+        counter[e] = counter.get(e, 0) + 1
+    return CycNum.from_counter(kk, counter)
 
 
-def vector_equal(v: Vector, w: Vector) -> bool:
-    keys = set(v) | set(w)
-    zero = CycNum.rational(0)
-    return all(v.get(k, zero) == w.get(k, zero) for k in keys)
+# -- monomial tables and vectors -----------------------------------------------
+
+
+def compose(outer: MonoMap, inner: MonoMap, kk: int) -> MonoMap:
+    """The table of the product outer * inner (inner acts first)."""
+    out: MonoMap = {}
+    for key, (mid, e) in inner.items():
+        nk, s = outer[mid]
+        out[key] = (nk, (e + s) % kk)
+    return out
+
+
+def act(m: MonoMap, v: MVec, kk: int) -> MVec:
+    """The image of a one-root-per-key vector under a monomial table."""
+    out: MVec = {}
+    for key, e in v.items():
+        nk, s = m[key]
+        out[nk] = (e + s) % kk
+    return out
+
+
+def inner_counter(v: MVec, w: MVec, kk: int) -> dict[int, int]:
+    """<v, w> as a counter: zeta^(v[key] - w[key]) over the common keys."""
+    ctr: dict[int, int] = {}
+    for key in v.keys() & w.keys():
+        e = (v[key] - w[key]) % kk
+        ctr[e] = ctr.get(e, 0) + 1
+    return ctr
+
+
+# -- counter vectors -------------------------------------------------------------
+
+
+def _merge(dst: dict[int, int], src: dict[int, int], shift: int, mult: int, kk: int):
+    for e, c in src.items():
+        e2 = (e + shift) % kk
+        dst[e2] = dst.get(e2, 0) + mult * c
+
+
+def _counter_zero(kk: int, ctr: dict[int, int]) -> bool:
+    if all(c == 0 for c in ctr.values()):
+        return True
+    return CycNum.from_counter(kk, ctr).is_zero()
+
+
+def cvec_equal(kk: int, v: CVec, w: CVec) -> bool:
+    for key in set(v) | set(w):
+        diff = dict(v.get(key, {}))
+        _merge(diff, w.get(key, {}), 0, -1, kk)
+        if not _counter_zero(kk, diff):
+            return False
+    return True

@@ -39,10 +39,14 @@ for an F_p-basis b of E, and sigma^ext fixes E, so Ttilde^ext and the Gram
 matrix Ttilde* Ttilde commute with every translation: T^ext = 1 and
 unitarity are then checked from the columns at inf and 0 alone.
 
-Vectors here are exponent counters: key -> {exponent of zeta mod Q-1:
-integer}, so every check is exact integer arithmetic with a cyclotomic
-fallback for sums of roots of unity that cancel without matching term by
-term.
+The operator acts on the induced model of ps_model.py, the one PsModel
+uses: the keys, the monomial generator tables and the vectors v_H and
+v_K (one zeta exponent per key) all come from it. Intertwining compares
+such one-root-per-key tables exactly. The powers of Ttilde and its images
+of v_H and v_K are sums, carried as counter vectors key -> {exponent of
+zeta mod Q - 1: integer}, so every check is exact integer arithmetic with
+a cyclotomic fallback for sums of roots of unity that cancel without
+matching term by term.
 """
 
 from __future__ import annotations
@@ -54,14 +58,19 @@ from .chars import AddChar, MulChar, gauss_sum
 from .cyclo import CycNum
 from .fields import ConsistencyError, FqElem
 from .pgl2 import PGL2, Label, Mat, mat_det, mat_mul
-from .ps_model import INF_KEY, ZERO_KEY
-
-# key -> (zeta exponent -> integer coefficient)
-CVec = dict[int, dict[int, int]]
-# key -> zeta exponent: one root of unity per key, as in a column of Ttilde
-MVec = dict[int, int]
-# key -> (image key, zeta exponent): a monomial matrix, as a group action
-MonoMap = dict[int, tuple[int, int]]
+from .ps_model import (
+    INF_KEY,
+    ZERO_KEY,
+    CVec,
+    InducedModel,
+    MonoMap,
+    MVec,
+    _merge,
+    act,
+    cvec_equal,
+    inner_counter,
+    model_sum,
+)
 
 
 # -- classification ----------------------------------------------------------
@@ -120,44 +129,11 @@ def eligible_exponents(q_base: int, ext: int) -> list[int]:
     return out
 
 
-# -- counter vectors ---------------------------------------------------------
-
-
-def _merge(dst: dict[int, int], src: dict[int, int], shift: int, mult: int, kk: int):
-    for e, c in src.items():
-        e2 = (e + shift) % kk
-        dst[e2] = dst.get(e2, 0) + mult * c
-
-
-def _counter_zero(kk: int, ctr: dict[int, int]) -> bool:
-    if all(c == 0 for c in ctr.values()):
-        return True
-    return CycNum.from_counter(kk, ctr).is_zero()
-
-
-def cvec_equal(kk: int, v: CVec, w: CVec) -> bool:
-    for key in set(v) | set(w):
-        diff = dict(v.get(key, {}))
-        _merge(diff, w.get(key, {}), 0, -1, kk)
-        if not _counter_zero(kk, diff):
-            return False
-    return True
-
-
-def cvec_to_cyc(kk: int, v: CVec) -> dict[int, CycNum]:
-    out = {}
-    for key, ctr in v.items():
-        z = CycNum.from_counter(kk, ctr)
-        if not z.is_zero():
-            out[key] = z
-    return out
-
-
 # -- the intertwiner ---------------------------------------------------------
 
 
 class ShintaniOperator:
-    """The sigma-twisted intertwiner on the induced model of Ps(chi^j).
+    """The sigma-twisted intertwiner on the induced model of chi^j.
 
     Every entry of Ttilde is 0 or a root of unity, so its q + 2 columns are
     tabulated once, as key -> zeta exponent, and every check reads them.
@@ -169,8 +145,8 @@ class ShintaniOperator:
         self.q_base = q_base
         self.f0 = f0
         self.ext = g.f // f0
-        self.kk = g.q - 1
-        self.j = j % self.kk
+        self.model = InducedModel(g, j)
+        self.kk = self.model.kk
         self.bc = base_change_class(q_base, self.ext, j)
         if self.bc.kind == "none":
             raise ValueError(f"chi^{j} is not a base change from F_{q_base}")
@@ -186,22 +162,6 @@ class ShintaniOperator:
             return key
         return key * self.q_base % self.kk
 
-    def chi_exp(self, x: FqElem) -> int:
-        """Exponent of chi^j at a nonzero element of E."""
-        return self.j * self.g.sub_dlog(x) % self.kk
-
-    def basis_keys(self) -> list[int]:
-        return [INF_KEY, ZERO_KEY] + list(range(self.kk))
-
-    def all_lams(self) -> list[int]:
-        return [ZERO_KEY] + list(range(self.kk))
-
-    def key_of(self, lam: FqElem) -> int:
-        return ZERO_KEY if lam is None else self.g.sub_dlog(lam)
-
-    def lam_of(self, key: int) -> FqElem:
-        return None if key == ZERO_KEY else self.g.sub_exp(key)
-
     # integer-rescaled T: equal to T in the split case and to
     # (-1)^(n-1) q^n T in the cusp case
     def t_scale(self) -> int:
@@ -211,26 +171,24 @@ class ShintaniOperator:
 
     def _tabulate(self) -> dict[int, MVec]:
         """The columns of Ttilde: basis key -> (key -> zeta exponent)."""
-        keys = self.basis_keys()
+        m = self.model
         if self.bc.kind == "split":
-            return {key: {self.sigma_key(key): 0} for key in keys}
+            return {key: {self.sigma_key(key): 0} for key in m.basis_keys()}
         g = self.g
         t = g.tower
-        # chi(-(lam - mu)^2) depends on lam - mu alone: one table over
-        # sub_dlog(lam - mu), so the q^2 entries cost one subtraction each
-        kern = []
-        for e in range(self.kk):
-            d = g.sub_exp(e)
-            kern.append(self.chi_exp(t.neg(t.mul(d, d))))
-        lams = self.all_lams()
+        # chi(-(lam - mu)^2) depends on lam - mu alone: it is the exponent
+        # that w gives the key of lam - mu, so the q^2 entries cost one
+        # subtraction each
+        w = m.w()
+        lams = m.finite_keys()
         cols = {INF_KEY: dict.fromkeys(lams, 0)}
         for key in lams:
-            lam = self.lam_of(key)
+            lam = m.lam_of(key)
             col = {INF_KEY: 0}
             for mu_key in lams:
                 if mu_key != key:
-                    diff = t.sub(lam, self.lam_of(mu_key))
-                    col[self.sigma_key(mu_key)] = kern[g.sub_dlog(diff)]
+                    diff = t.sub(lam, m.lam_of(mu_key))
+                    col[self.sigma_key(mu_key)] = w[g.sub_dlog(diff)][1]
             cols[key] = col
         return cols
 
@@ -241,50 +199,23 @@ class ShintaniOperator:
                 _merge(out.setdefault(k, {}), ctr, e, 1, self.kk)
         return {k: v for k, v in out.items() if any(v.values())}
 
-    # generator actions, mirroring the induced-model conventions; each
-    # sends a basis vector to a root of unity times a basis vector, so it
-    # is a table key -> (image key, zeta exponent)
-    def diag_map(self, a: FqElem) -> MonoMap:
-        ea = self.chi_exp(a)
-        out = {INF_KEY: (INF_KEY, ea)}
-        for key in self.all_lams():
-            lam = self.g.tower.mul(a, self.lam_of(key))
-            out[key] = (self.key_of(lam), -ea % self.kk)
-        return out
-
-    def u_map(self, b: FqElem) -> MonoMap:
-        out = {INF_KEY: (INF_KEY, 0)}
-        for key in self.all_lams():
-            out[key] = (self.key_of(self.g.tower.sub(self.lam_of(key), b)), 0)
-        return out
-
-    def w_map(self) -> MonoMap:
-        t = self.g.tower
-        out = {INF_KEY: (ZERO_KEY, 0), ZERO_KEY: (INF_KEY, 0)}
-        for key in range(self.kk):
-            lam = self.g.sub_exp(key)
-            shift = self.chi_exp(t.neg(t.mul(lam, lam)))
-            out[key] = (self.key_of(t.inv(lam)), shift)
-        return out
-
     # -- invariant checks ---------------------------------------------------
 
     def _generators(self) -> list[tuple[MonoMap, MonoMap]]:
-        """(action, sigma-twisted action) pairs spanning the group."""
+        """(action, sigma-twisted action) pairs spanning the group, as
+        the model's monomial tables."""
         g = self.g
-        w = self.w_map()
+        m = self.model
+        w = m.w()
         gens = [
-            (
-                self.diag_map(g.sub_exp(1)),
-                self.diag_map(g.sub_exp(self.q_base % self.kk)),
-            ),
+            (m.diag(g.sub_exp(1)), m.diag(g.sub_exp(self.q_base % self.kk))),
             (w, w),
         ]
         # b = gamma^0 .. gamma^(f-1) span E over F_p, so these u_b generate
         # every translation
         for i in range(g.f):
             b = g.sub_exp(i % self.kk)
-            gens.append((self.u_map(b), self.u_map(self.sigma(b))))
+            gens.append((m.u(b), m.u(self.sigma(b))))
         return gens
 
     def intertwining_check(self) -> None:
@@ -298,14 +229,10 @@ class ShintaniOperator:
         kk = self.kk
         cols = self.columns
         for gen, gen_s in self._generators():
-            for key in self.basis_keys():
+            for key in self.model.basis_keys():
                 nk, shift = gen[key]
                 lhs = {k: (e + shift) % kk for k, e in cols[nk].items()}
-                rhs = {}
-                for k, e in cols[key].items():
-                    k2, s2 = gen_s[k]
-                    rhs[k2] = (e + s2) % kk
-                if lhs != rhs:
+                if lhs != act(gen_s, cols[key], kk):
                     raise ConsistencyError(
                         f"intertwining fails at basis key {key}"
                     )
@@ -324,14 +251,9 @@ class ShintaniOperator:
         cols = self.columns
         want_diag = self.t_scale() ** 2
         pairs = [(INF_KEY, INF_KEY), (INF_KEY, ZERO_KEY)]
-        pairs += [(ZERO_KEY, mu) for mu in self.all_lams()]
+        pairs += [(ZERO_KEY, mu) for mu in self.model.finite_keys()]
         for k1, k2 in pairs:
-            c1, c2 = cols[k1], cols[k2]
-            inner: dict[int, int] = {}
-            for key in c1.keys() & c2.keys():
-                e = (c1[key] - c2[key]) % kk
-                inner[e] = inner.get(e, 0) + 1
-            val = CycNum.from_counter(kk, inner)
+            val = CycNum.from_counter(kk, inner_counter(cols[k1], cols[k2], kk))
             want = CycNum.rational(want_diag if k1 == k2 else 0)
             if val != want:
                 raise ConsistencyError(
@@ -355,54 +277,27 @@ class ShintaniOperator:
             if not cvec_equal(self.kk, vec, target):
                 raise ConsistencyError(f"T^ext is not scalar at key {key}")
 
-    # -- torus vectors ------------------------------------------------------
-
-    def vector_h(self) -> CVec:
-        """(Q - 1) v_H as a counter vector."""
-        return {e: {-self.j * e % self.kk: 1} for e in range(self.kk)}
-
-    def vector_k(self, alpha: FqElem | None = None) -> CVec:
-        """(Q + 1) v_K(alpha') as a counter vector."""
-        g = self.g
-        t = g.tower
-        alpha = g.alpha if alpha is None else alpha
-        out: CVec = {INF_KEY: {0: 1}}
-        for mu_key in self.all_lams():
-            lam = None if mu_key == ZERO_KEY else g.sub_exp(mu_key)
-            arg = t.inv(t.sub(alpha, t.mul(lam, lam)))
-            out[mu_key] = {self.chi_exp(arg): 1}
-        return out
-
     def effects_check(self) -> None:
         """T v_H = v_H; T v_K = v_K(alpha^sigma), times -chi(1/alpha) in
         the cusp case. Raises on failure."""
         g = self.g
+        m = self.model
         kk = self.kk
         scale = self.t_scale()
-        vh = self.vector_h()
-        got = self.t_tilde(vh)
-        want: CVec = {k: {e: scale * c for e, c in ctr.items()} for k, ctr in vh.items()}
+        vh = m.vector_h()
+        got = self.t_tilde({k: {e: 1} for k, e in vh.items()})
+        want: CVec = {k: {e: scale} for k, e in vh.items()}
         if not cvec_equal(kk, got, want):
             raise ConsistencyError("T does not fix v_H")
-        vk = self.vector_k()
-        vks = self.vector_k(self.sigma(g.alpha))
-        got = self.t_tilde(vk)
+        got = self.t_tilde({k: {e: 1} for k, e in m.vector_k().items()})
         if self.bc.kind == "split":
-            want = vks
+            shift, mult = 0, 1
         else:
-            shift = -self.chi_exp(g.alpha) % kk
-            mult = -scale
-            want = {}
-            for key, ctr in vks.items():
-                d: dict[int, int] = {}
-                _merge(d, ctr, shift, mult, kk)
-                want[key] = d
+            shift, mult = -m.chi_exp(g.alpha), -scale
+        vks = m.vector_k(self.sigma(g.alpha))
+        want = {k: {(e + shift) % kk: mult} for k, e in vks.items()}
         if not cvec_equal(kk, got, want):
             raise ConsistencyError("T does not map v_K as expected")
-
-    def model_sum(self) -> CycNum:
-        """S = sum over nonzero lam in E of chi(alpha/lam - lam)."""
-        return model_sum(self.g, self.j)
 
     def check_all(self) -> None:
         """Intertwining on every basis vector and generator; then, resting
@@ -412,18 +307,6 @@ class ShintaniOperator:
         self._unitarity_check()
         self._t_power_check()
         self.effects_check()
-
-
-def model_sum(g: PGL2, j: int) -> CycNum:
-    """The correlation character sum of chi^j, for any exponent j."""
-    t = g.tower
-    kk = g.q - 1
-    counter: dict[int, int] = {}
-    for lam in g.q_units():
-        arg = t.sub(t.div(g.alpha, lam), lam)
-        e = j * g.sub_dlog(arg) % kk
-        counter[e] = counter.get(e, 0) + 1
-    return CycNum.from_counter(kk, counter)
 
 
 # -- the vanishing theorem ---------------------------------------------------

@@ -43,6 +43,20 @@ def test_correlate_csv_single_rep(capsys):
     assert len(lines) == 2
 
 
+def test_correlate_single_rep_json_matches_whole_table(capsys):
+    # --rep and the whole-table path build each record by the same rule
+    from toric_correlator import PGL2, correlate_all
+
+    for rec in correlate_all(PGL2(5, 2)):
+        name = ":".join(str(x) for x in rec.rep)
+        code = main(
+            ["correlate", "--p", "5", "--f", "2", "--rep", name, "--format", "json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["records"] == [rec.to_json_dict()]
+
+
 def test_correlate_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code = main(

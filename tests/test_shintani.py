@@ -13,18 +13,14 @@ from toric_correlator import (
     eligible_exponents,
     theorem_report,
 )
-from toric_correlator.ps_model import INF_KEY, ZERO_KEY, PsModel
+from toric_correlator.ps_model import INF_KEY, ZERO_KEY, CVec, _merge, cvec_equal
 from toric_correlator.shintani import (
-    CVec,
-    _merge,
-    cvec_equal,
-    cvec_to_cyc,
     lemma_checks,
     lemma_nonsquare_sum,
     lemma_shift_sum,
-    model_sum,
     norm_map_check,
 )
+from test_ps_model import as_cyc, ref_diag, ref_u, ref_w, vector_equal
 
 
 def test_eligible_exponents_frozen():
@@ -66,27 +62,25 @@ def test_operator_checks_f25(g25):
 
 
 def test_operator_matches_ps_model_action(g9):
-    # the monomial generator tables and the cyclotomic model must agree
+    # the operator's generator tables and the cyclotomic model must agree
     g = g9
-    j = 2
-    op = ShintaniOperator(g, 3, j)
-    pm = PsModel(g, j)
-    kk = g.q - 1
-    a = g.sub_exp(3)
-    b = g.sub_exp(5)
-    diag, u, w = op.diag_map(a), op.u_map(b), op.w_map()
-    for key in op.basis_keys():
-        start_pm = {key: CycNum.rational(1)}
+    op = ShintaniOperator(g, 3, 2)
+    m = op.model
+    a, a_sigma = g.sub_exp(1), g.sub_exp(3)
+    b, b_sigma = g.sub_exp(0), op.sigma(g.sub_exp(0))
+    (diag, diag_s), (w, w_s), (u, u_s) = op._generators()[:3]
+    for key in m.basis_keys():
+        basis = {key: CycNum.rational(1)}
         pairs = [
-            (diag[key], pm.act_diag(a, start_pm)),
-            (u[key], pm.act_u(b, start_pm)),
-            (w[key], pm.act_w(start_pm)),
+            (diag[key], ref_diag(m, a, basis)),
+            (diag_s[key], ref_diag(m, a_sigma, basis)),
+            (w[key], ref_w(m, basis)),
+            (w_s[key], ref_w(m, basis)),
+            (u[key], ref_u(m, b, basis)),
+            (u_s[key], ref_u(m, b_sigma, basis)),
         ]
-        for (nk, shift), want in pairs:
-            got = cvec_to_cyc(kk, {nk: {shift: 1}})
-            got = {k: v for k, v in got.items() if not v.is_zero()}
-            want = {k: v for k, v in want.items() if not v.is_zero()}
-            assert got == want
+        for image, want in pairs:
+            assert vector_equal(as_cyc(m, image), want)
 
 
 def test_sign_rule_f9(g9):
@@ -150,11 +144,6 @@ def test_norm_map_stability(g9, g25):
     norm_map_check(g25, 5)
 
 
-def test_model_sum_standalone_matches_operator(g9):
-    op = ShintaniOperator(g9, 3, 2)
-    assert model_sum(g9, 2) == op.model_sum()
-
-
 def test_rejects_non_power_base(g9):
     with pytest.raises(ValueError):
         ShintaniOperator(g9, 4, 2)
@@ -190,25 +179,25 @@ def reference_t_tilde(op: ShintaniOperator, vec: CVec) -> CVec:
             _merge(out.setdefault(op.sigma_key(key), {}), ctr, 0, 1, kk)
             continue
         if key == INF_KEY:
-            for mu in op.all_lams():
+            for mu in op.model.finite_keys():
                 _merge(out.setdefault(mu, {}), ctr, 0, 1, kk)
             continue
-        lam = op.lam_of(key)
+        lam = op.model.lam_of(key)
         _merge(out.setdefault(INF_KEY, {}), ctr, 0, 1, kk)
-        for mu_key in op.all_lams():
+        for mu_key in op.model.finite_keys():
             if mu_key == key:
                 continue
-            diff = t.sub(lam, op.lam_of(mu_key))
-            shift = op.chi_exp(t.neg(t.mul(diff, diff)))
+            diff = t.sub(lam, op.model.lam_of(mu_key))
+            shift = op.model.chi_exp(t.neg(t.mul(diff, diff)))
             _merge(out.setdefault(op.sigma_key(mu_key), {}), ctr, shift, 1, kk)
     return {k: v for k, v in out.items() if any(v.values())}
 
 
 def reference_unitarity(op: ShintaniOperator) -> None:
     """Every pair of columns of Ttilde: orthogonal, squared norm t_scale^2."""
-    cols = {k: op.t_tilde({k: {0: 1}}) for k in op.basis_keys()}
+    cols = {k: op.t_tilde({k: {0: 1}}) for k in op.model.basis_keys()}
     want_diag = op.t_scale() ** 2
-    keys = op.basis_keys()
+    keys = op.model.basis_keys()
     for i1, k1 in enumerate(keys):
         for k2 in keys[i1:]:
             inner: dict[int, int] = {}
@@ -229,7 +218,7 @@ def reference_unitarity(op: ShintaniOperator) -> None:
 def reference_t_power(op: ShintaniOperator) -> None:
     """Ttilde^ext = t_scale^ext on every basis vector."""
     want = op.t_scale() ** op.ext
-    for key in op.basis_keys():
+    for key in op.model.basis_keys():
         vec: CVec = {key: {0: 1}}
         for _ in range(op.ext):
             vec = op.t_tilde(vec)
@@ -251,7 +240,7 @@ def test_column_checks_agree_with_all_columns(p, ext):
     assert js
     for j in js:
         op = ShintaniOperator(g, p, j)
-        for key in op.basis_keys():
+        for key in op.model.basis_keys():
             vec = {key: {0: 1}}
             assert op.t_tilde(vec) == reference_t_tilde(op, vec), (j, key)
         op.check_all()
@@ -328,7 +317,7 @@ def test_translations_carry_the_column_checks(g25):
     # and has the right ext-th power; only the translations catch it, and
     # the column-only checks are sound only once they have passed
     op = ShintaniOperator(g25, 5, 4)
-    d = op.diag_map(g25.sub_exp(op.kk // 2))
+    d = op.model.diag(g25.sub_exp(op.kk // 2))
     op.columns = {
         k: {r: (e + d[k][1]) % op.kk for r, e in op.columns[d[k][0]].items()}
         for k in op.columns
