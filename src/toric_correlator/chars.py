@@ -28,9 +28,6 @@ class MulChar:
     def __post_init__(self):
         object.__setattr__(self, "j", self.j % self.k)
 
-    def is_trivial(self) -> bool:
-        return self.j == 0
-
     def order(self) -> int:
         return self.k // math.gcd(self.j, self.k)
 
@@ -50,12 +47,6 @@ class MulChar:
         if self.k % k2:
             raise ValueError("k2 must divide k")
         return MulChar(k2, self.j % k2)
-
-    def sign_at_neg_one(self) -> int:
-        """chi(-1) as +1 or -1 (k must be even)."""
-        if self.k % 2:
-            raise ValueError("group has odd order, -1 is not in it")
-        return -1 if (self.j * (self.k // 2)) % self.k else 1
 
     def exponent_at(self, tower: FieldTower, x: FqElem) -> int:
         """e with chi(x) = zeta_k^e; x must be a nonzero group element."""

@@ -31,9 +31,9 @@ ps r reads only the split-class counts, at the exponents +-r e (q + 1),
 and cusp r only the elliptic-class counts, at -+r j (q - 1); the four
 one-dimensional and Steinberg-type representations keep the generic loop
 over char_counter, which stays the test reference for the kernels. The
-regular identity embeds every memoized constant at conductor q^2 - 1 into
-one counter and reduces it once, so it checks exactly the values that
-correlate_all reports.
+regular identity embeds every memoized constant, times q^2 - 1, at
+conductor q^2 - 1 into one integer counter and reduces it once, so it
+checks exactly the values that correlate_all reports.
 
 The memos replace repeated work, not any of the three sign routes: each
 average is still taken over its own torus and compared with the closed
@@ -242,11 +242,13 @@ def regular_identity(g: PGL2, counts: dict[Label, int] | None = None) -> None:
     """sum over pi of dim(pi) * c(pi) must equal q exactly.
 
     Equivalent to H and K meeting only in the identity; raises on failure.
-    Each constant's coordinates are embedded at conductor q^2 - 1 into one
-    counter, which is reduced once.
+    Every c(pi) is a sum over H x K divided by |H| |K| = q^2 - 1, so its
+    coordinates lie in (1/(q^2 - 1)) Z. Each constant's coordinates, times
+    q^2 - 1, are embedded at conductor q^2 - 1 into one integer counter,
+    which is reduced once and compared with q (q^2 - 1).
     """
     kk = g.q**2 - 1
-    total: dict[int, Fraction] = {}
+    total: dict[int, int] = {}
     for rep in g.reps():
         val = corr_constant(g, rep, counts)
         if kk % val.k:
@@ -255,11 +257,13 @@ def regular_identity(g: PGL2, counts: dict[Label, int] | None = None) -> None:
         dim = g.dim(rep)
         for i, c in enumerate(val.coeffs):
             if c:
+                if kk % c.denominator:
+                    raise ConsistencyError(f"c({rep}) has coordinate {c} outside (1/{kk}) Z")
                 e = i * step
-                total[e] = total.get(e, 0) + dim * c
+                total[e] = total.get(e, 0) + dim * c.numerator * (kk // c.denominator)
     got = CycNum.from_counter(kk, total)
-    if got != g.q:
-        raise ConsistencyError(f"regular identity fails: {got} != {g.q}")
+    if got != g.q * kk:
+        raise ConsistencyError(f"regular identity fails: {got * Fraction(1, kk)} != {g.q}")
 
 
 def enumerate_group(g: PGL2) -> list[Mat]:

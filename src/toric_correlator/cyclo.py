@@ -6,6 +6,9 @@ entries, so equality, conjugation and rationality tests are exact. Values
 built from exponent counters are automatically pushed down to the smallest
 conductor the counter's support allows (gcd reduction), which keeps the
 working conductor tiny even when characters are defined modulo q^2 - 1.
+Reduction mod Phi_k divides by its nonzero low terms from the top down,
+so a ring keeps only that term list and no table of powers of X.
+Division of CycNums is by rational values only.
 
 The module also provides the reduction of a CycNum at a prime ideal above
 p, presented by a primitive k-th root of unity in a field tower; the
@@ -68,7 +71,13 @@ def cyclotomic_poly(k: int) -> list[int]:
 
 
 class CycRing:
-    """Reduction tables for Q[X]/(Phi_k); one shared instance per k."""
+    """Reduction mod Phi_k for Q[X]/(Phi_k); one shared instance per k.
+
+    A vector is reduced by division: each entry at or above phi(k), from
+    the top down, is cleared by the nonzero low terms of Phi_k. Phi_k is
+    sparse at the conductors in use (128 nonzero low terms at k = 193^2 - 1,
+    where phi(k) = 12288), so the ring stores that term list and no table.
+    """
 
     _cache: dict[int, "CycRing"] = {}
 
@@ -79,9 +88,8 @@ class CycRing:
         # Phi_k divides S = 1 + X^m + X^2m + ... + X^((p-1)m) for m = k/p,
         # p the least prime factor of k; reduce_vector folds mod S first
         self._fold_step = k // min(gfpoly.factorint(k)) if k > 1 else None
-        # _rows[i] = X^(deg + i) reduced mod Phi_k, grown on demand from
-        # X^deg = -(Phi_k - X^deg); reduce_vector reads no row below deg
-        self._rows: list[tuple[int, ...]] = [tuple(-c for c in self.phi_poly[: self.deg])]
+        # (i, a) for the nonzero a X^i of Phi_k below X^phi(k), which is monic
+        self._terms = [(i, a) for i, a in enumerate(self.phi_poly[: self.deg]) if a]
 
     @classmethod
     def get(cls, k: int, cap: int = DEFAULT_CONDUCTOR_CAP) -> "CycRing":
@@ -93,21 +101,6 @@ class CycRing:
             cls._cache[k] = ring
         return ring
 
-    def row(self, e: int) -> tuple[int, ...]:
-        """X^e reduced mod Phi_k, for e mod k >= phi(k)."""
-        e = e % self.k - self.deg
-        if e < 0:
-            raise ValueError("rows start at X^phi(k)")
-        while len(self._rows) <= e:
-            prev = self._rows[-1]
-            top = prev[-1]
-            nxt = [0] + list(prev[:-1])
-            if top:
-                for i in range(self.deg):
-                    nxt[i] -= top * self.phi_poly[i]
-            self._rows.append(tuple(nxt))
-        return self._rows[e]
-
     def reduce_vector(self, vec: list) -> tuple[Fraction, ...]:
         """Reduce a coefficient vector of length <= k to the basis.
 
@@ -115,7 +108,8 @@ class CycRing:
         reduced in integers; only the final coefficients become Fractions.
         Entries at or above (p-1)m first fold down mod S, where X^((p-1)m)
         = -(1 + X^m + ... + X^((p-2)m)) costs p - 1 updates per entry; the
-        rest of the way to degree phi(k) uses the rows X^e mod Phi_k.
+        rest of the way to degree phi(k) is division by Phi_k from the top
+        down: c X^e becomes -c X^(e - phi(k)) times the low terms of Phi_k.
         """
         deg = self.deg
         out = list(vec)
@@ -128,14 +122,15 @@ class CycRing:
                     for i in range(e - top, e - m + 1, m):
                         out[i] -= c
             del out[top:]
-        high = out[deg:]
+        terms = self._terms
+        for e in range(len(out) - 1, deg - 1, -1):
+            c = out[e]
+            if c:
+                s = e - deg
+                for i, a in terms:
+                    out[s + i] -= c * a
         del out[deg:]
         out += [0] * (deg - len(out))
-        for e, c in enumerate(high, deg):
-            if c:
-                for i, r in enumerate(self.row(e)):
-                    if r:
-                        out[i] += c * r
         return tuple([Fraction(c) if c else _ZERO for c in out])
 
     def embed(self, k_small: int, coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -279,11 +274,12 @@ class CycNum:
         other = CycNum._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.k == 1:
-            if other.coeffs[0] == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / other.coeffs[0])
-        return self * other.inverse()
+        r = other.as_rational()
+        if r is None:
+            raise ValueError("division by an irrational value is not supported")
+        if r == 0:
+            raise ZeroDivisionError("division by zero")
+        return self * (Fraction(1) / r)
 
     def __eq__(self, other) -> bool:
         other = CycNum._coerce(other)
@@ -311,27 +307,6 @@ class CycNum:
     def abs2(self) -> "CycNum":
         """Squared modulus z * conj(z), exact."""
         return self * self.conj()
-
-    def inverse(self) -> "CycNum":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if self.k == 1:
-            return CycNum.rational(Fraction(1) / self.coeffs[0])
-        phi = [Fraction(c) for c in cyclotomic_poly(self.k)]
-        a = list(self.coeffs)
-        while a and not a[-1]:
-            a.pop()
-        # extended Euclid over Q[X]: u*a + v*phi = 1 since Phi_k is irreducible
-        r0, r1 = phi, a
-        u0, u1 = [], [Fraction(1)]
-        while r1:
-            q, r = _qdivmod(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, _qsub(u0, _qmul(q, u1))
-        c = r0[0]
-        inv_vec = [x / c for x in u0]
-        ring = CycRing.get(self.k)
-        return CycNum._make(self.k, ring.reduce_vector(inv_vec))
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction if it is rational, else None."""
@@ -363,45 +338,6 @@ class CycNum:
             return f"CycNum({r})"
         z = self.to_complex()
         return f"CycNum(k={self.k}, ~{z.real:.6g}{z.imag:+.6g}j)"
-
-
-def _qmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _qsub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _qdivmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        shift = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[shift] = c
-        for i, cb in enumerate(b):
-            a[shift + i] -= c * cb
-        while a and not a[-1]:
-            a.pop()
-    return q, a
 
 
 def factor_cyclotomic_mod_p(k: int, p: int, seed: int = 0) -> list[list[int]]:

@@ -81,7 +81,7 @@ class FieldTower:
         }
 
     def _build_tables(self) -> None:
-        """exp[e] = g^e as its base-p packed coefficients, dlog its inverse,
+        """exp[e] = g^e as its base-p packed coefficients, dlog the reverse map,
         zech[e] = dlog(1 + g^e).
 
         A packed element is also its dlog index, so the walk through the
@@ -206,7 +206,7 @@ class FieldTower:
 
     def inv(self, a: FqElem) -> FqElem:
         if a is None:
-            raise ZeroDivisionError("inverse of zero")
+            raise ZeroDivisionError("zero is not invertible")
         return -a % self.order
 
     def div(self, a: FqElem, b: FqElem) -> FqElem:
@@ -242,14 +242,6 @@ class FieldTower:
     def frobenius(self, a: FqElem, i: int = 1) -> FqElem:
         return self.power(a, self.p**i)
 
-    def element_order(self, a: FqElem) -> int:
-        if a is None:
-            raise ValueError("zero has no multiplicative order")
-        return self.order // math.gcd(a, self.order)
-
-    def is_square(self, a: FqElem) -> bool:
-        return a is None or a % 2 == 0
-
     def sqrt(self, a: FqElem) -> FqElem:
         """One of the two square roots; raises if a is not a square."""
         if a is None:
@@ -283,18 +275,6 @@ class FieldTower:
 
     def sub_exp(self, d: int, e: int) -> FqElem:
         return e % (self.p**d - 1) * self._cofactor(d) % self.order
-
-    def norm_to(self, d: int, a: FqElem) -> FqElem:
-        """Norm from F_{p^m} down to F_{p^d}."""
-        return self.power(a, self._cofactor(d))
-
-    def trace_to(self, d: int, a: FqElem) -> FqElem:
-        """Trace from F_{p^m} down to F_{p^d}."""
-        self._cofactor(d)
-        acc: FqElem = None
-        for i in range(self.m // d):
-            acc = self.add(acc, self.frobenius(a, d * i))
-        return acc
 
     def subfield_trace(self, d: int, a: FqElem) -> int:
         """Absolute trace F_{p^d} -> F_p of an element of the subfield,

@@ -84,7 +84,7 @@ class BaseChangeClass:
     j: int
     base_exponent: int | None  # j_0 mod q_base - 1 (split only)
     base_label: Label | None  # irreducible descended label, if any
-    regular: bool  # chi differs from its inverse over E
+    regular: bool  # chi differs from its conjugate over E
 
     def epsilon_tau(self) -> int | None:
         if self.kind == "split":

@@ -280,6 +280,16 @@ def test_regular_identity_checks_the_memoized_constants():
     regular_identity(g, pair_class_counts(g))
 
 
+def test_regular_identity_rejects_a_coordinate_outside_the_lattice():
+    # coordinates of c(pi) lie in (1/(q^2 - 1)) Z; half a step is not one
+    g = PGL2(7, 1)
+    kk = g.q**2 - 1
+    rep = ("ps", 1)
+    g._const_cache[rep] = corr_constant(g, rep) + Fraction(1, 2 * kk)
+    with pytest.raises(ConsistencyError, match="outside"):
+        regular_identity(g)
+
+
 def test_bad_rep_label_raises_before_memo_lookup():
     g = PGL2(5, 1)
     g._const_cache[("ps", 99)] = CycNum.rational(0)
