@@ -79,9 +79,6 @@ class AddChar:
     def value(self, tower: FieldTower, x: FqElem) -> CycNum:
         return CycNum.zeta(tower.p, self.exponent_at(tower, x))
 
-    def is_trivial(self) -> bool:
-        return self.shift is None
-
 
 def gauss_sum(tower: FieldTower, chi: MulChar, psi: AddChar) -> CycNum:
     """Gauss sum over F_{p^d}: sum of chi(x) psi(x) for x nonzero.

@@ -18,20 +18,21 @@ average over h k_0, an average over h_0 k) which must agree.
 Everything that depends only on the group is computed once per group and
 memoized on the PGL2 object: the pair classification (q^2 - 1 products,
 folded through the invariant tr^2/det so that only O(q) of them are
-classified one by one), and for each torus the class multiset of its
-trace-zero products h k_0 or h_0 k (they fall into at most two classes).
-Per representation only the character values are summed against these
-class counts, and the constant itself is memoized on the group too, so
-correlate_all, regular_identity, the mod-p reports, the base-change
-reports and the CLI all share one value per representation. An explicit
-counts argument bypasses that memo in both directions.
+classified one by one), and PGL2.torus_classes, the class multisets of
+the trace-zero products h k_0 and h_0 k. Per representation only the
+character values are summed against these class counts, by
+PGL2.class_sum or by a family kernel, and the constant
+itself is memoized on the group too, so correlate_all, regular_identity,
+the mod-p reports, the base-change reports and the CLI all share one
+value per representation. An explicit counts argument bypasses that memo
+in both directions.
 
 The two large families are summed by kernel rather than class by class:
 ps r reads only the split-class counts, at the exponents +-r e (q + 1),
 and cusp r only the elliptic-class counts, at -+r j (q - 1); the four
-one-dimensional and Steinberg-type representations keep the generic loop
-over char_counter, which stays the test reference for the kernels. The
-regular identity embeds every memoized constant, times q^2 - 1, at
+one-dimensional and Steinberg-type representations keep the generic
+class_sum over char_counter, which stays the test reference for the
+kernels. The regular identity embeds every memoized constant, times q^2 - 1, at
 conductor q^2 - 1 into one integer counter and reduces it once, so it
 checks exactly the values that correlate_all reports.
 
@@ -134,19 +135,15 @@ def _constant_counter(g: PGL2, rep: Label, counts: dict[Label, int]) -> dict[int
     modulo q^2 - 1; rep must already be checked."""
     q = g.q
     kind = rep[0]
-    total: dict[int, int] = {}
     if kind not in ("ps", "cusp"):
-        for cls, n in counts.items():
-            if n:
-                for e, c in g.char_counter(rep, cls).items():
-                    total[e] = total.get(e, 0) + n * c
-        return total
+        return g.class_sum(rep, counts)
     # the family kernels: ps r is zeta^(+-r e (q+1)) on split class e and
     # vanishes on elliptic classes; cusp r is -zeta^(+-r j (q-1)) on
     # elliptic class j (the pair of an eigenvalue dlog q + 1 - j) and
     # vanishes on split classes
     n_id = counts.get(("id",), 0)
     n_unip = counts.get(("unip",), 0)
+    total: dict[int, int] = {}
     if kind == "ps":
         family, sign, step = "split", 1, rep[1] * (q + 1)
         total[0] = (q + 1) * n_id + n_unip
@@ -165,7 +162,8 @@ def _constant_counter(g: PGL2, rep: Label, counts: dict[Label, int]) -> dict[int
 
 def epsilon_closed(g: PGL2, rep: Label) -> int | None:
     """The sign epsilon(rep) in closed form; None when the pair is not
-    multiplicity-one for this representation."""
+    multiplicity-one for this representation. A bad label raises ValueError."""
+    g.check_rep(rep)
     kind = rep[0]
     if kind == "triv":
         return 1
@@ -178,49 +176,24 @@ def epsilon_closed(g: PGL2, rep: Label) -> int | None:
     return None
 
 
-def _sign_average(g: PGL2, rep: Label, classes: dict[Label, int]) -> int:
-    """Average of chi_rep over a multiset of trace-zero classes."""
-    kk = g.q**2 - 1
-    total: dict[int, int] = {}
-    for cls, n in classes.items():
-        for e, c in g.char_counter(rep, cls).items():
-            total[e] = total.get(e, 0) + n * c
-    val = (CycNum.from_counter(kk, total) / sum(classes.values())).as_rational()
+def _sign_average(g: PGL2, rep: Label, which: str) -> int:
+    """Average of chi_rep over the class multiset g.torus_classes(which)."""
+    classes = g.torus_classes(which)
+    total = CycNum.from_counter(g.q**2 - 1, g.class_sum(rep, classes))
+    val = (total / sum(classes.values())).as_rational()
     if val is None or val not in (1, -1):
         raise ConsistencyError(f"sign average for {rep} is not a sign: {val}")
     return int(val)
 
 
-def _trace_zero_classes(g: PGL2, torus: str) -> dict[Label, int]:
-    """Class multiset of h k_0 over h in H (torus "H") or of h_0 k over k
-    in K (torus "K"), memoized on the group.
-
-    Every element is trace zero, so only its determinant matters.
-    """
-    out = g._sign_classes.get(torus)
-    if out is None:
-        t = g.tower
-        if torus == "H":
-            # h k_0 = [[0, a*alpha], [1, 0]]: trace 0, det -a*alpha
-            dets = [t.neg(t.mul(a, g.alpha)) for a in g.q_units()]
-        else:
-            dets = [t.neg(mat_det(t, k)) for k in g.K]
-        out = {}
-        for d in dets:
-            cls = g.classify_trace_det(None, d)
-            out[cls] = out.get(cls, 0) + 1
-        g._sign_classes[torus] = out
-    return out
-
-
 def epsilon_h_average(g: PGL2, rep: Label) -> int:
     """epsilon via (1/|H|) sum over h of chi(h k_0)."""
-    return _sign_average(g, rep, _trace_zero_classes(g, "H"))
+    return _sign_average(g, rep, "hk0")
 
 
 def epsilon_k_average(g: PGL2, rep: Label) -> int:
     """epsilon via (1/|K|) sum over k of chi(h_0 k)."""
-    return _sign_average(g, rep, _trace_zero_classes(g, "K"))
+    return _sign_average(g, rep, "h0k")
 
 
 def epsilon(g: PGL2, rep: Label) -> int | None:

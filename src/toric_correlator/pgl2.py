@@ -12,18 +12,21 @@ tuple labels:
 and irreducible characters likewise: ("triv",), ("eta",), ("st",),
 ("steta",), ("ps", r) for r in 1..(q-3)/2, ("cusp", r) for r in
 1..(q-1)/2. Character values are kept as exponent counters modulo
-q^2 - 1 (dicts exp -> int), so inner products of rows and columns can be
-accumulated in integers and only reduced into a cyclotomic field once.
+q^2 - 1 (dicts exp -> int), so a class-weighted sum (class_sum) or an
+inner product of rows is accumulated in integers and reduced once.
 
 H is the split torus {diag(a, 1)} and K the non-split torus, realized as
 multiplication by 1 + z*sqrt(alpha) on the plane with basis {1,
 sqrt(alpha)} for the first nonsquare alpha whose torus generator
-k_alpha = [[1, alpha], [1, 1]] has projective order exactly q + 1.
+k_alpha = [[1, alpha], [1, 1]] has projective order exactly q + 1. The
+class multisets of H, K, {h k_0} and {h_0 k} are memoized per group by
+torus_classes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .cyclo import CycNum, PrimeIdealHandle
 from .fields import ConsistencyError, FieldTower, FqElem, build_tower
@@ -76,10 +79,9 @@ class PGL2:
         self._init_tori()
         # per-group memo state, freed with the group
         self._value_cache: dict[tuple[Label, Label], CycNum] = {}
-        self._invdim_cache: dict[Label, tuple[int, int]] = {}
+        self._torus_classes: dict[str, dict[Label, int]] = {}
         self._pair_counts: dict[Label, int] | None = None
         self._const_cache: dict[Label, CycNum] = {}
-        self._sign_classes: dict[str, dict[Label, int]] = {}
         self._relabel_cache: dict[int, dict[tuple[int, ...], int]] = {}
         self._handle_cache: dict[int, list[PrimeIdealHandle]] = {}
 
@@ -264,33 +266,61 @@ class PGL2:
             self._value_cache[key] = val
         return val
 
-    # -- torus-fixed vectors ----------------------------------------------
+    # -- torus character sums ---------------------------------------------
+
+    def torus_classes(self, which: str) -> dict[Label, int]:
+        """Class multiset {class: count} of the torus H or K, or of
+        {h k_0 : h in H} ("hk0") or {h_0 k : k in K} ("h0k").
+
+        Built once per group, on first use, by classifying each matrix;
+        the memo itself is returned, so callers must not mutate it.
+        """
+        out = self._torus_classes.get(which)
+        if out is None:
+            t = self.tower
+            if which == "hk0":
+                mats = [mat_mul(t, h, self.k0) for h in self.H]
+            elif which == "h0k":
+                mats = [mat_mul(t, self.h0, k) for k in self.K]
+            else:
+                mats = {"H": self.H, "K": self.K}[which]
+            out = self._torus_classes[which] = Counter(map(self.classify, mats))
+        return out
+
+    def class_sum(self, rep: Label, classes: dict[Label, int]) -> dict[int, int]:
+        """Sum of n * chi_rep(cls) over a class multiset {cls: n}, as an
+        exponent counter modulo q^2 - 1."""
+        total: dict[int, int] = {}
+        for cls, n in classes.items():
+            if n:
+                for e, c in self.char_counter(rep, cls).items():
+                    total[e] = total.get(e, 0) + n * c
+        return total
 
     def invariant_dims(self, rep: Label) -> tuple[int, int]:
         """(dim of H-fixed vectors, dim of K-fixed vectors) in rep."""
-        out = self._invdim_cache.get(rep)
-        if out is not None:
-            return out
         kk = self.q**2 - 1
         dims = []
-        for torus in (self.H, self.K):
-            total: dict[int, int] = {}
-            for g in torus:
-                for e, c in self.char_counter(rep, self.classify(g)).items():
-                    total[e] = total.get(e, 0) + c
-            val = CycNum.from_counter(kk, total).as_rational()
+        for torus in ("H", "K"):
+            classes = self.torus_classes(torus)
+            val = CycNum.from_counter(kk, self.class_sum(rep, classes)).as_rational()
             if val is None:
                 raise ConsistencyError("torus character sum is irrational")
-            d = val / len(torus)
+            d = val / sum(classes.values())
             if d.denominator != 1 or d < 0:
                 raise ConsistencyError("torus character sum is not a dimension")
             dims.append(int(d))
-        out = (dims[0], dims[1])
-        self._invdim_cache[rep] = out
-        return out
+        return dims[0], dims[1]
 
     def orthogonality_check(self) -> None:
-        """Row and column orthogonality of the full character table.
+        """Orthogonality of the full character table, checked by rows.
+
+        Let X be the table (rows reps, columns classes) and D the diagonal
+        matrix of class sizes. Row orthogonality is X D X* = |G| I. For a
+        square X this makes D X* / |G| a right inverse of X, hence a
+        two-sided inverse, so (D X* / |G|) X = I, that is X* X = |G| D^-1:
+        column orthogonality. The check therefore requires the table to be
+        square and then runs the row sums only.
 
         Raises ConsistencyError on any failure; a passing run certifies the
         table (and hence every correlation computed from it) as the
@@ -298,6 +328,8 @@ class PGL2:
         """
         kk = self.q**2 - 1
         reps = self.reps()
+        if len(reps) != len(self.classes):
+            raise ConsistencyError("character table is not square")
         counters = {
             (rep, cls): self.char_counter(rep, cls)
             for rep in reps
@@ -317,19 +349,6 @@ class PGL2:
                 want = self.order if r1 == r2 else 0
                 if val != want:
                     raise ConsistencyError(f"row orthogonality fails at {r1}, {r2}")
-        for i, c1 in enumerate(self.classes):
-            for c2 in self.classes[i:]:
-                total = {}
-                for rep in reps:
-                    cc2 = counters[(rep, c2)]
-                    for e1, a in counters[(rep, c1)].items():
-                        for e2, b in cc2.items():
-                            ex = (e1 - e2) % kk
-                            total[ex] = total.get(ex, 0) + a * b
-                val = CycNum.from_counter(kk, total)
-                want = 0 if c1 != c2 else self.order // self.class_size[c1]
-                if val != want:
-                    raise ConsistencyError(f"column orthogonality fails at {c1}, {c2}")
 
     def describe(self) -> dict:
         return {

@@ -164,6 +164,22 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert "FAIL" in out and "synthetic failure" in out
 
 
+def test_failed_check_exits_1(capsys, monkeypatch):
+    from toric_correlator import PGL2, ShintaniOperator
+    from toric_correlator.fields import ConsistencyError
+
+    def broken(self):
+        raise ConsistencyError("injected failure")
+
+    monkeypatch.setattr(PGL2, "orthogonality_check", broken)
+    monkeypatch.setattr(ShintaniOperator, "check_all", broken)
+    assert main(["chartable", "--p", "5", "--check"]) == 1
+    assert "error: injected failure" in capsys.readouterr().err
+    assert main(["shintani", "--p", "3", "--ext", "2", "--check-operator"]) == 1
+    assert "error: injected failure" in capsys.readouterr().err
+    assert main(["chartable", "--p", "6", "--check"]) == 2
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])

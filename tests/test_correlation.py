@@ -213,6 +213,14 @@ def test_bad_rep_label_raises(g5):
         corr_constant(g5, ("ps", 99))
 
 
+@pytest.mark.parametrize("rep", [("st", 1), ("foo",), ("cusp",)])
+def test_epsilon_rejects_bad_labels(g7, rep):
+    with pytest.raises(ValueError):
+        epsilon_closed(g7, rep)
+    with pytest.raises(ValueError):
+        epsilon(g7, rep)
+
+
 @pytest.mark.parametrize("p, f", SMALL_FIELDS)
 def test_family_kernels_match_char_counter_reference(p, f):
     g = PGL2(p, f)

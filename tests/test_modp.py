@@ -13,6 +13,8 @@ from toric_correlator import (
     PGL2,
     ConsistencyError,
     CycNum,
+    PrimeIdealHandle,
+    factor_cyclotomic_mod_p,
     gfpoly,
     predicted_residue,
     rep_report,
@@ -134,6 +136,39 @@ def test_tower_reduction_matches_horner(p, f, pin, listed, distinguished):
             assert h.reduce(z) == t.eval_poly(horner_reduce(h, z), h.root)
         with pytest.raises(ValueError):
             h.reduce(CycNum.rational(Fraction(1, p)))
+
+
+def has_exact_order(factor, k, p):
+    """Reference: X^k = 1 and X^(k/r) != 1 for each prime r | k, in
+    F_p[X]/(factor)."""
+    x = [0, 1]
+    if gfpoly.powmod(x, k, factor, p) != [1]:
+        return False
+    return all(gfpoly.powmod(x, k // r, factor, p) != [1] for r in gfpoly.factorint(k))
+
+
+@pytest.mark.parametrize("p, f, pin, listed, distinguished", HANDLE_CASES)
+def test_handle_roots_have_exact_order(p, f, pin, listed, distinguished):
+    # the order the constructor's division by Phi_k implies
+    g = PGL2(p, f, chi_modulus=None if pin is None else list(pin))
+    handles = [h for k in listed for h in prime_handles(g, k)]
+    handles += [distinguished_handle(g, k) for k in distinguished]
+    for h in handles:
+        assert has_exact_order(h.factor, h.k, p)
+
+
+@pytest.mark.parametrize("p, f, pin, listed, distinguished", HANDLE_CASES)
+def test_handle_rejects_a_factor_of_a_smaller_cyclotomic(
+    monkeypatch, p, f, pin, listed, distinguished
+):
+    t = PGL2(p, f, chi_modulus=None if pin is None else list(pin)).tower
+    for k in listed:
+        for d in (d for d in range(1, k) if k % d == 0):
+            wrong = [p - 1, 1] if d == 1 else factor_cyclotomic_mod_p(d, p)[0]
+            assert not has_exact_order(wrong, k, p)
+            monkeypatch.setattr(t, "minpoly", lambda _root, w=wrong: list(w))
+            with pytest.raises(ConsistencyError):
+                PrimeIdealHandle(t, k, 1)
 
 
 def brute_relabel_map(g, conductor):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from toric_correlator import CycNum, PGL2
+from toric_correlator.fields import ConsistencyError
 from toric_correlator.pgl2 import mat_det, mat_mul
 
 
@@ -131,6 +132,133 @@ def test_char_value_at_identity_is_dim(g7):
 def test_orthogonality(g3, g5, g7, g9):
     for g in (g3, g5, g7, g9):
         g.orthogonality_check()
+
+
+def column_orthogonality(g):
+    """Reference: the column sums the row check implies for a square table,
+    sum over reps of chi(c1) conj chi(c2) = |G| / |c1| if c1 = c2, else 0."""
+    kk = g.q**2 - 1
+    reps = g.reps()
+    for i, c1 in enumerate(g.classes):
+        for c2 in g.classes[i:]:
+            total = {}
+            for rep in reps:
+                cc2 = g.char_counter(rep, c2)
+                for e1, a in g.char_counter(rep, c1).items():
+                    for e2, b in cc2.items():
+                        ex = (e1 - e2) % kk
+                        total[ex] = total.get(ex, 0) + a * b
+            val = CycNum.from_counter(kk, total)
+            want = 0 if c1 != c2 else g.order // g.class_size[c1]
+            if val != want:
+                raise ConsistencyError(f"column orthogonality fails at {c1}, {c2}")
+
+
+ODD_Q_TO_49 = [
+    (3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1),
+    (5, 2), (3, 3), (29, 1), (31, 1), (37, 1), (41, 1), (43, 1), (47, 1), (7, 2),
+]
+
+
+@pytest.mark.parametrize("p, f", ODD_Q_TO_49)
+def test_column_orthogonality_reference(p, f):
+    g = PGL2(p, f)
+    g.orthogonality_check()
+    column_orthogonality(g)
+
+
+def _perturb_entry(g, rep0, cls0):
+    real = g.char_counter
+
+    def counter(rep, cls):
+        out = dict(real(rep, cls))
+        if (rep, cls) == (rep0, cls0):
+            out[0] = out.get(0, 0) + 1
+        return out
+
+    g.char_counter = counter
+
+
+def test_orthogonality_check_rejects_a_perturbed_table():
+    g = PGL2(5, 1)
+    _perturb_entry(g, ("st",), ("split", 1))
+    with pytest.raises(ConsistencyError, match="row orthogonality"):
+        g.orthogonality_check()
+    with pytest.raises(ConsistencyError, match="column orthogonality"):
+        column_orthogonality(g)
+    # one unit of size moved between classes keeps the total, so the
+    # trivial row still passes
+    g = PGL2(5, 1)
+    g.class_size = dict(g.class_size)
+    g.class_size[("split", 1)] += 1
+    g.class_size[("ell", 1)] -= 1
+    with pytest.raises(ConsistencyError, match="row orthogonality"):
+        g.orthogonality_check()
+    g = PGL2(5, 1)
+    reps = g.reps()
+    g.reps = lambda: reps[:-1]
+    with pytest.raises(ConsistencyError, match="not square"):
+        g.orthogonality_check()
+
+
+def _classify_each(g, mats):
+    out = {}
+    for m in mats:
+        cls = g.classify(m)
+        out[cls] = out.get(cls, 0) + 1
+    return out
+
+
+def _trace_zero_classes_by_det(g, torus):
+    """Reference: h k_0 = [[0, a alpha], [1, 0]] and h_0 k have trace zero,
+    so each is classified from its determinant alone."""
+    t = g.tower
+    if torus == "H":
+        dets = [t.neg(t.mul(a, g.alpha)) for a in g.q_units()]
+    else:
+        dets = [t.neg(mat_det(t, k)) for k in g.K]
+    out = {}
+    for d in dets:
+        cls = g.classify_trace_det(None, d)
+        out[cls] = out.get(cls, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("p, f", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_torus_classes_match_per_element_classification(p, f):
+    g = PGL2(p, f)
+    t = g.tower
+    hk0 = [mat_mul(t, h, g.k0) for h in g.H]
+    h0k = [mat_mul(t, g.h0, k) for k in g.K]
+    assert g.torus_classes("H") == _classify_each(g, g.H)
+    assert g.torus_classes("K") == _classify_each(g, g.K)
+    assert g.torus_classes("hk0") == _classify_each(g, hk0)
+    assert g.torus_classes("h0k") == _classify_each(g, h0k)
+    assert g.torus_classes("hk0") == _trace_zero_classes_by_det(g, "H")
+    assert g.torus_classes("h0k") == _trace_zero_classes_by_det(g, "K")
+    assert g.torus_classes("hk0") is g.torus_classes("hk0")  # built once
+
+
+def _invariant_dims_per_element(g, rep):
+    """Reference: classify every torus element for this rep and average."""
+    kk = g.q**2 - 1
+    dims = []
+    for torus in (g.H, g.K):
+        total = {}
+        for x in torus:
+            for e, c in g.char_counter(rep, g.classify(x)).items():
+                total[e] = total.get(e, 0) + c
+        d = CycNum.from_counter(kk, total).as_rational() / len(torus)
+        assert d.denominator == 1
+        dims.append(int(d))
+    return tuple(dims)
+
+
+@pytest.mark.parametrize("p, f", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_invariant_dims_match_per_element_loop(p, f):
+    g = PGL2(p, f)
+    for rep in g.reps():
+        assert g.invariant_dims(rep) == _invariant_dims_per_element(g, rep)
 
 
 def test_invariant_dims_multiplicity_one(g7, g9):
