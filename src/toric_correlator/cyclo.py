@@ -354,8 +354,8 @@ def factor_cyclotomic_mod_p(k: int, p: int, seed: int = 0) -> list[list[int]]:
     key = (k, p, seed)
     if key in _FACTOR_CACHE:
         return _FACTOR_CACHE[key]
-    d = 1
-    while pow(p, d, k) != 1:
+    d = 1  # the order of p mod k; every power is 0 mod 1, so Phi_1 has d = 1
+    while k > 1 and pow(p, d, k) != 1:
         d += 1
     f = [c % p for c in cyclotomic_poly(k)]
     while f and f[-1] == 0:

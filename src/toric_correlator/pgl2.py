@@ -12,8 +12,12 @@ tuple labels:
 and irreducible characters likewise: ("triv",), ("eta",), ("st",),
 ("steta",), ("ps", r) for r in 1..(q-3)/2, ("cusp", r) for r in
 1..(q-1)/2. Character values are kept as exponent counters modulo
-q^2 - 1 (dicts exp -> int), so a class-weighted sum (class_sum) or an
-inner product of rows is accumulated in integers and reduced once.
+q^2 - 1 (dicts exp -> int), so a class-weighted sum (class_sum) is
+accumulated in integers and reduced once. orthogonality_check sums the
+rows of the two large families by kernel: each product of two ps rows (or
+two cusp rows) is two values of one kernel, a class-size-weighted sum of
+roots of unity over the split (or elliptic) classes reduced once per
+argument, plus integer id and unip terms.
 
 H is the split torus {diag(a, 1)} and K the non-split torus, realized as
 multiplication by 1 + z*sqrt(alpha) on the plane with basis {1,
@@ -27,12 +31,33 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 from .cyclo import CycNum, PrimeIdealHandle
 from .fields import ConsistencyError, FieldTower, FqElem, build_tower
 
 Mat = tuple[FqElem, FqElem, FqElem, FqElem]
 Label = tuple
+
+
+def _pm_counter(ex: int, kk: int, sign: int) -> dict[int, int]:
+    """sign * (zeta^ex + zeta^-ex) as an exponent counter modulo kk."""
+    out: dict[int, int] = {}
+    for x in (ex % kk, -ex % kk):
+        out[x] = out.get(x, 0) + sign
+    return out
+
+
+def _row_product(kk: int, sizes: list[int], row1: list, row2: list) -> CycNum:
+    """sum over classes of |cls| chi_1(cls) conj chi_2(cls), class by
+    class, from two rows of char_counter values."""
+    total: dict[int, int] = {}
+    for sz, c1, c2 in zip(sizes, row1, row2):
+        for e1, a in c1.items():
+            for e2, b in c2.items():
+                ex = (e1 - e2) % kk
+                total[ex] = total.get(ex, 0) + sz * a * b
+    return CycNum.from_counter(kk, total)
 
 
 def mat_mul(t: FieldTower, x: Mat, y: Mat) -> Mat:
@@ -237,12 +262,7 @@ class PGL2:
                 return {0: 1}
             if ckind == "ell":
                 return {}
-            e = cls[1]
-            out: dict[int, int] = {}
-            for ex in (r * e, -r * e):
-                ex = ex % (q - 1) * (q + 1)
-                out[ex] = out.get(ex, 0) + 1
-            return out
+            return _pm_counter(r * cls[1] * (q + 1), kk, 1)
         if kind == "cusp":
             if ckind == "id":
                 return {0: q - 1}
@@ -251,11 +271,7 @@ class PGL2:
             if ckind == "split":
                 return {}
             ee = q + 1 - cls[1]  # an eigenvalue dlog with this angle
-            out = {}
-            for ex in (r * ee, -r * ee):
-                ex = ex * (q - 1) % kk
-                out[ex] = out.get(ex, 0) - 1
-            return out
+            return _pm_counter(r * ee * (q - 1), kk, -1)
         raise ValueError(f"unknown label {rep}")
 
     def char_value(self, rep: Label, cls: Label) -> CycNum:
@@ -322,30 +338,96 @@ class PGL2:
         column orthogonality. The check therefore requires the table to be
         square and then runs the row sums only.
 
+        The two large families are summed by kernel. With zeta a primitive
+        (q^2 - 1)-th root of unity, write w for zeta^(q+1), a primitive
+        (q-1)-th root of unity, and put
+
+            B(s) = sum over split e of |split e| (w^(s e) + w^(-s e))
+
+        for s modulo q - 1, and C(s) the same sum over the elliptic classes
+        j with zeta^(q-1) for w, for s modulo q + 1. On split class e, ps r
+        is w^(r e) + w^(-r e), so chi_r1 conj(chi_r2) there is the four
+        terms w^(+-(r1 - r2) e) + w^(+-(r1 + r2) e), which summed over e
+        with the class sizes give B(r1 - r2) + B(r1 + r2). On elliptic
+        class j, cusp r is -(zeta^(r j (q-1)) + zeta^(-r j (q-1))); the two
+        minus signs cancel and the same regrouping gives C(r1 - r2) +
+        C(r1 + r2). ps vanishes on the elliptic classes and cusp on the
+        split ones, so a ps-ps or cusp-cusp product is the integer id and
+        unip terms plus two kernel values, and a ps-cusp product is the id
+        and unip terms alone. This regrouping only reorders the exponent
+        multiset of the class-by-class sum, and reduction is additive, so
+        each value is exactly the class-by-class row sum, provided the
+        table holds these family values. So the check first compares every
+        ps and cusp entry with its family value and requires integer
+        entries on id and unip. The kernels read the class sizes, so a
+        wrong size still shows in the row sums. The four small reps keep
+        the class-by-class product. Each kernel value is reduced once (B(s)
+        = B(-s), C(s) = C(-s)), so the check does O(q^2) dict work and O(q)
+        reductions instead of one reduction per pair of reps.
+
         Raises ConsistencyError on any failure; a passing run certifies the
         table (and hence every correlation computed from it) as the
         character table of a group of this order.
         """
-        kk = self.q**2 - 1
+        q = self.q
+        kk = q * q - 1
         reps = self.reps()
         if len(reps) != len(self.classes):
             raise ConsistencyError("character table is not square")
-        counters = {
-            (rep, cls): self.char_counter(rep, cls)
-            for rep in reps
-            for cls in self.classes
-        }
-        for i, r1 in enumerate(reps):
-            for r2 in reps[i:]:
+        rows = {rep: [self.char_counter(rep, cls) for cls in self.classes] for rep in reps}
+        sizes = [self.class_size[cls] for cls in self.classes]
+        ends = [self.class_index[("id",)], self.class_index[("unip",)]]
+        home = {"ps": "split", "cusp": "ell"}
+        step = {"split": q + 1, "ell": q - 1}  # dlog of the family's root
+        # the precondition of the kernels: family values off id and unip
+        for rep in reps:
+            if rep[0] not in home:
+                continue
+            fam, sign = home[rep[0]], 1 if rep[0] == "ps" else -1
+            for i, (cls, got) in enumerate(zip(self.classes, rows[rep])):
+                if i in ends:
+                    ok = got.keys() <= {0}
+                elif cls[0] == fam:
+                    ok = got == _pm_counter(rep[1] * cls[1] * step[fam], kk, sign)
+                else:
+                    ok = not got
+                if not ok:
+                    raise ConsistencyError(f"{rep} on {cls} is not its family value")
+        end_sizes = [sizes[j] for j in ends]
+        at_ends = {rep: [rows[rep][j].get(0, 0) for j in ends] for rep in reps}
+        kernels: dict[tuple[str, int], CycNum | int | Fraction] = {}
+
+        def kernel(fam: str, s: int) -> CycNum | int | Fraction:
+            """B(s) or C(s), as a number when it is rational."""
+            m = kk // step[fam]  # B is periodic mod q - 1, C mod q + 1
+            s = min(s % m, -s % m)  # B(s) = B(-s), C(s) = C(-s)
+            val = kernels.get((fam, s))
+            if val is None:
                 total: dict[int, int] = {}
-                for cls in self.classes:
-                    sz = self.class_size[cls]
-                    c2 = counters[(r2, cls)]
-                    for e1, a in counters[(r1, cls)].items():
-                        for e2, b in c2.items():
-                            ex = (e1 - e2) % kk
-                            total[ex] = total.get(ex, 0) + sz * a * b
+                for cls, n in zip(self.classes, sizes):
+                    if cls[0] == fam:
+                        for ex, c in _pm_counter(s * cls[1] * step[fam], kk, 1).items():
+                            total[ex] = total.get(ex, 0) + n * c
                 val = CycNum.from_counter(kk, total)
+                rat = val.as_rational()
+                if rat is not None:
+                    # a rational sum of roots of unity with integer weights
+                    # is an integer, and int sums are far cheaper than Fractions
+                    val = rat.numerator if rat.denominator == 1 else rat
+                kernels[(fam, s)] = val
+            return val
+
+        for i, r1 in enumerate(reps):
+            row1 = rows[r1]
+            for r2 in reps[i:]:
+                row2 = rows[r2]
+                if r1[0] not in home or r2[0] not in home:
+                    val = _row_product(kk, sizes, row1, row2)
+                else:
+                    val = sum(n * a * b for n, a, b in zip(end_sizes, at_ends[r1], at_ends[r2]))
+                    if r1[0] == r2[0]:
+                        fam = home[r1[0]]
+                        val += kernel(fam, r1[1] - r2[1]) + kernel(fam, r1[1] + r2[1])
                 want = self.order if r1 == r2 else 0
                 if val != want:
                     raise ConsistencyError(f"row orthogonality fails at {r1}, {r2}")

@@ -287,6 +287,12 @@ def test_factor_cyclotomic_mod_p_structure():
         assert factors == factor_cyclotomic_mod_p(k, p)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factor_cyclotomic_mod_p_of_phi_1(p):
+    # Phi_1 = X - 1 is its own factor; the order of p mod 1 is 1
+    assert factor_cyclotomic_mod_p(1, p) == [[p - 1, 1]]
+
+
 def _handle_8_over_7(a=1):
     # F_49 holds the 8th roots of unity, so primes of Q(zeta_8) above 7 live there
     return PrimeIdealHandle(build_tower(7, 2), 8, a)

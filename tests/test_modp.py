@@ -164,7 +164,7 @@ def test_handle_rejects_a_factor_of_a_smaller_cyclotomic(
     t = PGL2(p, f, chi_modulus=None if pin is None else list(pin)).tower
     for k in listed:
         for d in (d for d in range(1, k) if k % d == 0):
-            wrong = [p - 1, 1] if d == 1 else factor_cyclotomic_mod_p(d, p)[0]
+            wrong = factor_cyclotomic_mod_p(d, p)[0]
             assert not has_exact_order(wrong, k, p)
             monkeypatch.setattr(t, "minpoly", lambda _root, w=wrong: list(w))
             with pytest.raises(ConsistencyError):

@@ -134,6 +134,28 @@ def test_orthogonality(g3, g5, g7, g9):
         g.orthogonality_check()
 
 
+def row_orthogonality(g):
+    """Reference: the class-by-class row sums the kernels regroup,
+    sum over classes of |c| chi_r1(c) conj chi_r2(c) = |G| if r1 = r2,
+    else 0, one reduction per pair of reps."""
+    kk = g.q**2 - 1
+    reps = g.reps()
+    for i, r1 in enumerate(reps):
+        for r2 in reps[i:]:
+            total = {}
+            for cls in g.classes:
+                sz = g.class_size[cls]
+                c2 = g.char_counter(r2, cls)
+                for e1, a in g.char_counter(r1, cls).items():
+                    for e2, b in c2.items():
+                        ex = (e1 - e2) % kk
+                        total[ex] = total.get(ex, 0) + sz * a * b
+            val = CycNum.from_counter(kk, total)
+            want = g.order if r1 == r2 else 0
+            if val != want:
+                raise ConsistencyError(f"row orthogonality fails at {r1}, {r2}")
+
+
 def column_orthogonality(g):
     """Reference: the column sums the row check implies for a square table,
     sum over reps of chi(c1) conj chi(c2) = |G| / |c1| if c1 = c2, else 0."""
@@ -167,13 +189,21 @@ def test_column_orthogonality_reference(p, f):
     column_orthogonality(g)
 
 
-def _perturb_entry(g, rep0, cls0):
+@pytest.mark.parametrize("p, f", ODD_Q_TO_49)
+def test_row_orthogonality_reference(p, f):
+    g = PGL2(p, f)
+    g.orthogonality_check()
+    row_orthogonality(g)
+
+
+def _perturb_entry(g, rep0, cls0, ex=0):
+    """Add zeta^ex to the table entry at (rep0, cls0)."""
     real = g.char_counter
 
     def counter(rep, cls):
         out = dict(real(rep, cls))
         if (rep, cls) == (rep0, cls0):
-            out[0] = out.get(0, 0) + 1
+            out[ex] = out.get(ex, 0) + 1
         return out
 
     g.char_counter = counter
@@ -199,6 +229,51 @@ def test_orthogonality_check_rejects_a_perturbed_table():
     g.reps = lambda: reps[:-1]
     with pytest.raises(ConsistencyError, match="not square"):
         g.orthogonality_check()
+
+
+FAMILY_ENTRY_EDITS = {
+    "ps on a split class": (("ps", 2), ("split", 3)),
+    "cusp on an elliptic class": (("cusp", 2), ("ell", 3)),
+    "ps on an elliptic class": (("ps", 2), ("ell", 3)),
+    "cusp on a split class": (("cusp", 2), ("split", 3)),
+    "irrational ps at the identity": (("ps", 1), ("id",)),
+}
+
+
+@pytest.mark.parametrize("p, f", [(11, 1), (5, 2)])
+@pytest.mark.parametrize("edit", FAMILY_ENTRY_EDITS)
+def test_orthogonality_check_rejects_a_wrong_family_entry(p, f, edit):
+    g = PGL2(p, f)
+    # zeta^(q+1) has order q - 1 > 2, so it is irrational
+    _perturb_entry(g, *FAMILY_ENTRY_EDITS[edit], ex=g.q + 1)
+    with pytest.raises(ConsistencyError, match="family value"):
+        g.orthogonality_check()
+    with pytest.raises(ConsistencyError, match="row orthogonality"):
+        row_orthogonality(g)
+
+
+@pytest.mark.parametrize("p, f", [(11, 1), (5, 2)])
+@pytest.mark.parametrize("family", ["split", "ell"])
+def test_orthogonality_check_rejects_a_moved_class_size(p, f, family):
+    # classes 1 and 3 have the same parity, so the rows of the four small
+    # reps stay orthogonal among themselves and only rows that meet a
+    # family can see the move
+    g = PGL2(p, f)
+    g.class_size = dict(g.class_size)
+    g.class_size[(family, 1)] += 1
+    g.class_size[(family, 3)] -= 1
+    small = [rep for rep in g.reps() if rep[0] not in ("ps", "cusp")]
+    for i, r1 in enumerate(small):
+        for r2 in small[i:]:
+            val = sum(
+                g.class_size[c] * g.char_value(r1, c) * g.char_value(r2, c).conj()
+                for c in g.classes
+            )
+            assert val == (g.order if r1 == r2 else 0)
+    with pytest.raises(ConsistencyError, match="row orthogonality"):
+        g.orthogonality_check()
+    with pytest.raises(ConsistencyError, match="row orthogonality"):
+        row_orthogonality(g)
 
 
 def _classify_each(g, mats):
