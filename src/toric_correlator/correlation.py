@@ -29,12 +29,16 @@ in both directions.
 
 The two large families are summed by kernel rather than class by class:
 ps r reads only the split-class counts, at the exponents +-r e (q + 1),
-and cusp r only the elliptic-class counts, at -+r j (q - 1); the four
-one-dimensional and Steinberg-type representations keep the generic
-class_sum over char_counter, which stays the test reference for the
-kernels. The regular identity embeds every memoized constant, times q^2 - 1, at
-conductor q^2 - 1 into one integer counter and reduces it once, so it
-checks exactly the values that correlate_all reports.
+and cusp r only the elliptic-class counts, at -+r j (q - 1). These are
+powers of a root of unity of order q - 1, resp. q + 1, so each kernel
+fills one integer vector at its own conductor, at most q - 1, resp.
+q + 1, and reduces it once over the denominator q^2 - 1; nothing is
+built at conductor q^2 - 1. The four one-dimensional and Steinberg-type
+representations keep the generic class_sum over char_counter, which
+stays the test reference for the kernels. The regular identity embeds
+every memoized constant, times q^2 - 1, at conductor q^2 - 1 into one
+integer counter and reduces it once, so it checks exactly the values
+that correlate_all reports.
 
 The memos replace repeated work, not any of the three sign routes: each
 average is still taken over its own torus and compared with the closed
@@ -45,6 +49,7 @@ disagree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,48 +121,63 @@ def corr_constant(g: PGL2, rep: Label, counts: dict[Label, int] | None = None) -
     """
     g.check_rep(rep)
     if counts is not None:
-        return _constant(g, rep, counts)
+        return _constant(g, rep, counts, _kernel_terms(g, counts))
     val = g._const_cache.get(rep)
     if val is None:
-        if g._pair_counts is None:
-            pair_class_counts(g)
-        val = g._const_cache[rep] = _constant(g, rep, g._pair_counts)
+        if g._kernel_terms is None:
+            g._kernel_terms = _kernel_terms(g, pair_class_counts(g))
+        val = g._const_cache[rep] = _constant(g, rep, g._pair_counts, g._kernel_terms)
     return val
 
 
-def _constant(g: PGL2, rep: Label, counts: dict[Label, int]) -> CycNum:
+def _constant(g: PGL2, rep: Label, counts: dict[Label, int], terms: dict) -> CycNum:
     kk = g.q**2 - 1
-    return CycNum.from_counter(kk, _constant_counter(g, rep, counts)) / kk
+    if rep[0] in ("ps", "cusp"):
+        d, vec = _kernel_vector(g, rep, terms)
+        return CycNum._from_vector(d, vec, kk)
+    return CycNum.from_counter(kk, g.class_sum(rep, counts)) / kk
 
 
-def _constant_counter(g: PGL2, rep: Label, counts: dict[Label, int]) -> dict[int, int]:
-    """Sum over classes of count * chi_rep(class), as an exponent counter
-    modulo q^2 - 1; rep must already be checked."""
+def _kernel_terms(g: PGL2, counts: dict[Label, int]) -> dict[str, tuple[int, list]]:
+    """What the family kernels read of the class counts: for "ps" and
+    "cusp", the integer id and unip term and the signed (class index,
+    count) pairs of the split, resp. elliptic, classes."""
     q = g.q
-    kind = rep[0]
-    if kind not in ("ps", "cusp"):
-        return g.class_sum(rep, counts)
-    # the family kernels: ps r is zeta^(+-r e (q+1)) on split class e and
-    # vanishes on elliptic classes; cusp r is -zeta^(+-r j (q-1)) on
-    # elliptic class j (the pair of an eigenvalue dlog q + 1 - j) and
-    # vanishes on split classes
     n_id = counts.get(("id",), 0)
     n_unip = counts.get(("unip",), 0)
-    total: dict[int, int] = {}
-    if kind == "ps":
-        family, sign, step = "split", 1, rep[1] * (q + 1)
-        total[0] = (q + 1) * n_id + n_unip
-    else:
-        family, sign, step = "ell", -1, rep[1] * (q - 1)
-        total[0] = (q - 1) * n_id - n_unip
-    kk = q * q - 1
+    ps: list[tuple[int, int]] = []
+    cusp: list[tuple[int, int]] = []
     for cls, n in counts.items():
-        if n and cls[0] == family:
-            ex = cls[1] * step % kk
-            total[ex] = total.get(ex, 0) + sign * n
-            ex = -ex % kk
-            total[ex] = total.get(ex, 0) + sign * n
-    return total
+        if n and cls[0] == "split":
+            ps.append((cls[1], n))
+        elif n and cls[0] == "ell":
+            cusp.append((cls[1], -n))
+    return {"ps": ((q + 1) * n_id + n_unip, ps), "cusp": ((q - 1) * n_id - n_unip, cusp)}
+
+
+def _kernel_vector(g: PGL2, rep: Label, terms: dict) -> tuple[int, list[int]]:
+    """The family kernel of ps r or cusp r: (d, vec) with (q^2 - 1) c(rep)
+    = sum of vec[i] zeta_d^i, from the _kernel_terms of the class counts.
+
+    ps r is zeta^(+-r e (q+1)) on split class e and vanishes on elliptic
+    classes; cusp r is -zeta^(+-r j (q-1)) on elliptic class j (the pair
+    of an eigenvalue dlog q + 1 - j) and vanishes on split classes. With
+    m = q - 1 (ps) or q + 1 (cusp), zeta^((q^2 - 1)/m) is a primitive m-th
+    root of unity, and its r-th power is zeta_d^(r/h) for h = gcd(r, m) and
+    d = m/h, so the sum lives at conductor d from the start.
+    """
+    kind, r = rep
+    base, pairs = terms[kind]
+    m = g.q - 1 if kind == "ps" else g.q + 1
+    h = math.gcd(r, m)
+    d, step = m // h, r // h
+    vec = [0] * d
+    vec[0] = base
+    for e, n in pairs:
+        i = e * step % d
+        vec[i] += n
+        vec[-i] += n  # the exponent -i mod d; i = 0 lands twice on vec[0]
+    return d, vec
 
 
 def epsilon_closed(g: PGL2, rep: Label) -> int | None:
@@ -177,13 +197,18 @@ def epsilon_closed(g: PGL2, rep: Label) -> int | None:
 
 
 def _sign_average(g: PGL2, rep: Label, which: str) -> int:
-    """Average of chi_rep over the class multiset g.torus_classes(which)."""
+    """Average of chi_rep over the class multiset g.torus_classes(which).
+
+    The sum itself must be exactly +-n for the n matrices of the multiset,
+    so no division is needed.
+    """
     classes = g.torus_classes(which)
-    total = CycNum.from_counter(g.q**2 - 1, g.class_sum(rep, classes))
-    val = (total / sum(classes.values())).as_rational()
-    if val is None or val not in (1, -1):
-        raise ConsistencyError(f"sign average for {rep} is not a sign: {val}")
-    return int(val)
+    total = CycNum.from_counter(g.q**2 - 1, g.class_sum(rep, classes)).as_rational()
+    n = sum(classes.values())
+    if total is None or total not in (n, -n):
+        avg = None if total is None else total / n
+        raise ConsistencyError(f"sign average for {rep} is not a sign: {avg}")
+    return 1 if total == n else -1
 
 
 def epsilon_h_average(g: PGL2, rep: Label) -> int:
@@ -216,9 +241,10 @@ def regular_identity(g: PGL2, counts: dict[Label, int] | None = None) -> None:
 
     Equivalent to H and K meeting only in the identity; raises on failure.
     Every c(pi) is a sum over H x K divided by |H| |K| = q^2 - 1, so its
-    coordinates lie in (1/(q^2 - 1)) Z. Each constant's coordinates, times
-    q^2 - 1, are embedded at conductor q^2 - 1 into one integer counter,
-    which is reduced once and compared with q (q^2 - 1).
+    coordinates lie in (1/(q^2 - 1)) Z: its denominator divides q^2 - 1.
+    Each constant's numerators, times q^2 - 1 over that denominator, are
+    embedded at conductor q^2 - 1 into one integer counter, which is
+    reduced once and compared with q (q^2 - 1).
     """
     kk = g.q**2 - 1
     total: dict[int, int] = {}
@@ -226,14 +252,14 @@ def regular_identity(g: PGL2, counts: dict[Label, int] | None = None) -> None:
         val = corr_constant(g, rep, counts)
         if kk % val.k:
             raise ConsistencyError(f"c({rep}) has conductor {val.k}, not a divisor of {kk}")
+        if kk % val.den:
+            raise ConsistencyError(f"c({rep}) has denominator {val.den}, outside (1/{kk}) Z")
         step = kk // val.k
-        dim = g.dim(rep)
-        for i, c in enumerate(val.coeffs):
+        scale = g.dim(rep) * (kk // val.den)
+        for i, c in enumerate(val.nums):
             if c:
-                if kk % c.denominator:
-                    raise ConsistencyError(f"c({rep}) has coordinate {c} outside (1/{kk}) Z")
                 e = i * step
-                total[e] = total.get(e, 0) + dim * c.numerator * (kk // c.denominator)
+                total[e] = total.get(e, 0) + scale * c
     got = CycNum.from_counter(kk, total)
     if got != g.q * kk:
         raise ConsistencyError(f"regular identity fails: {got * Fraction(1, kk)} != {g.q}")

@@ -1,14 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_k).
 
-A CycNum holds a conductor k and the coefficient vector of its canonical
-representative modulo the k-th cyclotomic polynomial, with Fraction
-entries, so equality, conjugation and rationality tests are exact. Values
-built from exponent counters are automatically pushed down to the smallest
-conductor the counter's support allows (gcd reduction), which keeps the
-working conductor tiny even when characters are defined modulo q^2 - 1.
-Reduction mod Phi_k divides by its nonzero low terms from the top down,
-so a ring keeps only that term list and no table of powers of X.
-Division of CycNums is by rational values only.
+A CycNum holds a conductor k and the canonical representative of its
+value modulo the k-th cyclotomic polynomial, as integer numerators over
+one denominator, so equality, conjugation and rationality tests are
+exact and each operation is integer work plus one gcd. Values are pushed
+down to the smallest conductor their exponent support allows (gcd
+reduction), which keeps the working conductor tiny even when characters
+are defined modulo q^2 - 1. Counters (Fraction ones scaled to integers
+first), conjugates and the correlation kernels all take the one path
+that reduces an int vector, mod Phi_k by division by its nonzero low
+terms from the top down, so a ring keeps only that term list and no
+table of powers of X. Division of CycNums is by rational values only.
 
 The module also provides the reduction of a CycNum at a prime ideal above
 p, presented by a primitive k-th root of unity in a field tower; the
@@ -30,8 +32,6 @@ _PHI_CACHE: dict[int, list[int]] = {}
 _FACTOR_CACHE: dict[tuple[int, int, int], list[list[int]]] = {}
 
 DEFAULT_CONDUCTOR_CAP = 200_000
-
-_ZERO = Fraction(0)  # shared by every zero coefficient; Fractions are immutable
 
 
 def cyclotomic_poly(k: int) -> list[int]:
@@ -101,11 +101,9 @@ class CycRing:
             cls._cache[k] = ring
         return ring
 
-    def reduce_vector(self, vec: list) -> tuple[Fraction, ...]:
-        """Reduce a coefficient vector of length <= k to the basis.
+    def reduce_vector(self, vec: list[int]) -> tuple[int, ...]:
+        """Reduce an int coefficient vector of length <= k to the basis.
 
-        The reduction runs in the entries' own type, so an int vector is
-        reduced in integers; only the final coefficients become Fractions.
         Entries at or above (p-1)m first fold down mod S, where X^((p-1)m)
         = -(1 + X^m + ... + X^((p-2)m)) costs p - 1 updates per entry; the
         rest of the way to degree phi(k) is division by Phi_k from the top
@@ -131,19 +129,14 @@ class CycRing:
                     out[s + i] -= c * a
         del out[deg:]
         out += [0] * (deg - len(out))
-        return tuple([Fraction(c) if c else _ZERO for c in out])
+        return tuple(out)
 
-    def embed(self, k_small: int, coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        step = self.k // k_small
+    def embed(self, k_small: int, nums: tuple[int, ...]) -> tuple[int, ...]:
         vec = [0] * self.k
-        for i, c in enumerate(coeffs):
-            if c:
-                vec[i * step] += c
+        vec[:: self.k // k_small] = nums + (0,) * (k_small - len(nums))
         return self.reduce_vector(vec)
 
-    def mul(
-        self, a: tuple[Fraction, ...], b: tuple[Fraction, ...]
-    ) -> tuple[Fraction, ...]:
+    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         k = self.k
         vec = [0] * k
         for i, ci in enumerate(a):
@@ -157,16 +150,37 @@ class CycRing:
 
 @dataclass(frozen=True, eq=False)
 class CycNum:
-    """An element of Q(zeta_k) in canonical coordinates mod Phi_k."""
+    """The element sum of nums[i] zeta_k^i, over den, of Q(zeta_k) in
+    canonical coordinates mod Phi_k. Construction keeps den > 0 and
+    gcd(den, *nums) = 1, so at a given conductor each value has exactly
+    one (nums, den)."""
 
     k: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     __hash__ = None  # cross-conductor equality makes hashing unreliable
 
+    def __post_init__(self):
+        if self.den == 1:
+            return
+        if not self.den:
+            raise ZeroDivisionError("zero denominator")
+        g = math.gcd(self.den, *self.nums) * (1 if self.den > 0 else -1)
+        if g != 1:
+            object.__setattr__(self, "nums", tuple([c // g for c in self.nums]))
+            object.__setattr__(self, "den", self.den // g)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions."""
+        return tuple([Fraction(c, self.den) for c in self.nums])
+
     @staticmethod
-    def rational(x) -> "CycNum":
-        return CycNum(1, (Fraction(x),))
+    def rational(x: int | Fraction) -> "CycNum":
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"not an exact rational: {x!r}")
+        return CycNum(1, (x.numerator,), x.denominator)
 
     @staticmethod
     def zeta(k: int, e: int = 1) -> "CycNum":
@@ -178,9 +192,8 @@ class CycNum:
 
         The conductor drops by the gcd of k with the exponent support, so
         sums of a few roots of unity stay in small fields regardless of k.
-        Counter values are ints or Fractions; they are summed and reduced
-        in the type given, so integer counters stay in integer arithmetic
-        until the final coefficients are built.
+        Counter values are ints or Fractions; Fractions are scaled by the
+        lcm of their denominators, so the reduction runs in integers.
         """
         clean: dict[int, int | Fraction] = {}
         for e, c in counter.items():
@@ -188,40 +201,47 @@ class CycNum:
                 e %= k
                 clean[e] = clean.get(e, 0) + c
         clean = {e: c for e, c in clean.items() if c}
-        if not clean:
-            return CycNum.rational(0)
-        g = math.gcd(k, *clean.keys())
-        k2 = k // g
-        if k2 == 1:
-            return CycNum.rational(sum(clean.values()))
-        if k2 == 2:
-            total = 0
-            for e, c in clean.items():
-                total += c if (e // g) % 2 == 0 else -c
-            return CycNum.rational(total)
-        ring = CycRing.get(k2)
-        vec = [0] * k2
+        fracs = [c.denominator for c in clean.values() if type(c) is not int]
+        den = math.lcm(*fracs)
+        if fracs:
+            clean = {e: int(c * den) for e, c in clean.items()}
+        g = math.gcd(k, *clean)
+        vec = [0] * (k // g)
         for e, c in clean.items():
-            vec[e // g] += c
-        return CycNum._make(k2, ring.reduce_vector(vec))
+            vec[e // g] = c
+        return CycNum._from_vector(k // g, vec, den)
 
     @staticmethod
-    def _make(k: int, coeffs: tuple[Fraction, ...]) -> "CycNum":
+    def _from_vector(k: int, vec: list[int], den: int = 1) -> "CycNum":
+        """Sum of vec[e] * zeta_k^e / den over e < k, conductor-reduced.
+
+        The one reduction path: from_counter, conj and the family kernels
+        of the correlation constants all end here. The ring of conductor 2
+        reduces to the constant term, so _make folds it to conductor 1.
+        """
+        g = math.gcd(k, *itertools.compress(range(k), vec))
+        if g == k:  # supported on exponent 0: a rational
+            return CycNum(1, (vec[0],), den)
+        k //= g
+        return CycNum._make(k, CycRing.get(k).reduce_vector(vec[::g]), den)
+
+    @staticmethod
+    def _make(k: int, nums: tuple[int, ...], den: int) -> "CycNum":
         # fold values that reduced to a rational down to conductor 1
-        if k > 1 and not any(coeffs[1:]):
-            return CycNum(1, (coeffs[0],))
-        return CycNum(k, coeffs)
+        if k > 1 and not any(nums[1:]):
+            return CycNum(1, nums[:1], den)
+        return CycNum(k, nums, den)
 
     # -- coercion ---------------------------------------------------------
 
     @staticmethod
     def _pair(a: "CycNum", b: "CycNum"):
         if a.k == b.k:
-            return a.k, a.coeffs, b.coeffs
+            return a.k, a.nums, b.nums
         kk = math.lcm(a.k, b.k)
         ring = CycRing.get(kk)
-        va = a.coeffs if a.k == kk else ring.embed(a.k, a.coeffs)
-        vb = b.coeffs if b.k == kk else ring.embed(b.k, b.coeffs)
+        va = a.nums if a.k == kk else ring.embed(a.k, a.nums)
+        vb = b.nums if b.k == kk else ring.embed(b.k, b.nums)
         return kk, va, vb
 
     @staticmethod
@@ -239,12 +259,14 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         kk, va, vb = CycNum._pair(self, other)
-        return CycNum._make(kk, tuple(x + y for x, y in zip(va, vb)))
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return CycNum._make(kk, tuple([x * sa + y * sb for x, y in zip(va, vb)]), den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycNum":
-        return CycNum(self.k, tuple(-c for c in self.coeffs))
+        return CycNum(self.k, tuple([-c for c in self.nums]), self.den)
 
     def __sub__(self, other) -> "CycNum":
         other = CycNum._coerce(other)
@@ -259,14 +281,12 @@ class CycNum:
         other = CycNum._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.k == 1:
-            c = other.coeffs[0]
-            return CycNum._make(self.k, tuple([x * c if x else x for x in self.coeffs]))
-        if self.k == 1:
-            c = self.coeffs[0]
-            return CycNum._make(other.k, tuple([x * c if x else x for x in other.coeffs]))
+        den = self.den * other.den
+        if other.k == 1 or self.k == 1:
+            big, c = (self, other.nums[0]) if other.k == 1 else (other, self.nums[0])
+            return CycNum._make(big.k, tuple([x * c for x in big.nums]), den)
         kk, va, vb = CycNum._pair(self, other)
-        return CycNum._make(kk, CycRing.get(kk).mul(va, vb))
+        return CycNum._make(kk, CycRing.get(kk).mul(va, vb), den)
 
     __rmul__ = __mul__
 
@@ -277,19 +297,19 @@ class CycNum:
         r = other.as_rational()
         if r is None:
             raise ValueError("division by an irrational value is not supported")
-        if r == 0:
-            raise ZeroDivisionError("division by zero")
-        return self * (Fraction(1) / r)
+        return self * CycNum(1, (r.denominator,), r.numerator)  # den 0 raises
 
     def __eq__(self, other) -> bool:
         other = CycNum._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # embedding keeps gcd(den, *nums) = 1, since Z[zeta_n] meets
+        # Q(zeta_k) in Z[zeta_k], so equal values have equal denominators
         _, va, vb = CycNum._pair(self, other)
-        return va == vb
+        return self.den == other.den and va == vb
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -300,9 +320,10 @@ class CycNum:
         """Complex conjugation, zeta -> zeta^(-1)."""
         if self.k == 1:
             return self
-        return CycNum.from_counter(
-            self.k, {(-i) % self.k: c for i, c in enumerate(self.coeffs) if c}
-        )
+        vec = [0] * self.k
+        for i, c in enumerate(self.nums):
+            vec[-i] = c  # zeta^i -> zeta^(k - i), and zeta^0 stays
+        return CycNum._from_vector(self.k, vec, self.den)
 
     def abs2(self) -> "CycNum":
         """Squared modulus z * conj(z), exact."""
@@ -310,25 +331,25 @@ class CycNum:
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction if it is rational, else None."""
-        if self.k == 1:
-            return self.coeffs[0]
-        if not any(self.coeffs[1:]):
-            return self.coeffs[0]
+        if self.k == 1 or not any(self.nums[1:]):
+            return Fraction(self.nums[0], self.den)
         return None
 
     def to_complex(self) -> complex:
         total = 0j
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.nums):
             if c:
                 ang = 2.0 * math.pi * i / self.k
-                total += float(c) * complex(math.cos(ang), math.sin(ang))
+                total += (c / self.den) * complex(math.cos(ang), math.sin(ang))
         return total
 
     def to_json_dict(self) -> dict:
         z = self.to_complex()
+        den = self.den
+        gcds = map(math.gcd, self.nums, itertools.repeat(den))
         return {
             "conductor": self.k,
-            "coeffs": [[c.numerator, c.denominator] for c in self.coeffs],
+            "coeffs": [[c // g, den // g] for c, g in zip(self.nums, gcds)],
             "approx": {"re": z.real, "im": z.imag},
         }
 
@@ -413,14 +434,15 @@ class PrimeIdealHandle:
         if self.k % z.k:
             raise ValueError("value lies outside the handle's cyclotomic field")
         t, p = self.tower, self.p
+        # den is the lcm of the coordinates' reduced denominators
+        if z.den % p == 0:
+            raise ValueError("value is not integral at this prime")
+        inv = pow(z.den, p - 2, p)
         step = self.root * (self.k // z.k)
         acc: FqElem = None
-        for i, c in enumerate(z.coeffs):
+        for i, c in enumerate(z.nums):
             if c:
-                if c.denominator % p == 0:
-                    raise ValueError("value is not integral at this prime")
-                coeff = t.from_prime(c.numerator * pow(c.denominator, p - 2, p))
-                acc = t.add(acc, t.mul(coeff, step * i))
+                acc = t.add(acc, t.mul(t.from_prime(c * inv), step * i))
         return acc
 
     def reduce_to_int(self, z: CycNum) -> int:

@@ -106,6 +106,7 @@ class PGL2:
         self._value_cache: dict[tuple[Label, Label], CycNum] = {}
         self._torus_classes: dict[str, dict[Label, int]] = {}
         self._pair_counts: dict[Label, int] | None = None
+        self._kernel_terms: dict[str, tuple[int, list]] | None = None
         self._const_cache: dict[Label, CycNum] = {}
         self._relabel_cache: dict[int, dict[tuple[int, ...], int]] = {}
         self._handle_cache: dict[int, list[PrimeIdealHandle]] = {}
@@ -322,10 +323,10 @@ class PGL2:
             val = CycNum.from_counter(kk, self.class_sum(rep, classes)).as_rational()
             if val is None:
                 raise ConsistencyError("torus character sum is irrational")
-            d = val / sum(classes.values())
-            if d.denominator != 1 or d < 0:
+            n = sum(classes.values())
+            if val.denominator != 1 or val < 0 or val.numerator % n:
                 raise ConsistencyError("torus character sum is not a dimension")
-            dims.append(int(d))
+            dims.append(val.numerator // n)
         return dims[0], dims[1]
 
     def orthogonality_check(self) -> None:

@@ -16,7 +16,8 @@ from toric_correlator import (
     tensor_identity,
 )
 from toric_correlator.correlation import (
-    _constant_counter,
+    _kernel_terms,
+    _kernel_vector,
     epsilon_h_average,
     epsilon_k_average,
     unipotent_pair_report,
@@ -227,8 +228,11 @@ def test_family_kernels_match_char_counter_reference(p, f):
     counts = pair_class_counts(g)
     for rep in g.reps():
         want = reference_corr_constant(g, rep)
-        assert corr_constant(g, rep) == want
-        assert corr_constant(g, rep, counts) == want
+        # the conductor and the coordinates enter the digest, not only the value
+        for got in (corr_constant(g, rep), corr_constant(g, rep, counts)):
+            assert got == want
+            assert got.k == want.k
+            assert got.to_json_dict()["coeffs"] == want.to_json_dict()["coeffs"]
 
 
 @pytest.mark.parametrize("p, f", [(7, 1), (3, 2), (5, 2), (7, 2)])
@@ -241,11 +245,12 @@ def test_shifted_kernel_exponent_disagrees_with_reference(p, f):
     for rep in g.reps():
         if rep[0] not in ("ps", "cusp"):
             continue
-        total = _constant_counter(g, rep, counts)
-        ex = next(e for e, c in sorted(total.items()) if e and c)
-        shift = (g.q + 1) if rep[0] == "ps" else (g.q - 1)
-        total[(ex + shift) % kk] = total.get((ex + shift) % kk, 0) + total.pop(ex)
-        bad = CycNum.from_counter(kk, total) / kk
+        d, vec = _kernel_vector(g, rep, _kernel_terms(g, counts))
+        assert CycNum.from_counter(d, dict(enumerate(vec))) / kk == corr_constant(g, rep)
+        ex = next(i for i, c in enumerate(vec) if i and c)
+        vec[(ex + 1) % d] += vec[ex]
+        vec[ex] = 0
+        bad = CycNum.from_counter(d, dict(enumerate(vec))) / kk
         assert bad != reference_corr_constant(g, rep, counts)
 
 
@@ -274,6 +279,7 @@ def test_explicit_counts_bypass_the_memo():
     fresh = PGL2(7, 1)
     corr_constant(fresh, rep, pair_class_counts(fresh))
     assert fresh._const_cache == {}
+    assert fresh._kernel_terms is None
 
 
 def test_regular_identity_checks_the_memoized_constants():

@@ -1,7 +1,9 @@
 """Exact cyclotomic arithmetic with rational coefficients."""
 
 import cmath
+import copy
 import math
+import pickle
 import time
 from fractions import Fraction
 
@@ -233,11 +235,10 @@ def test_wide_support_reduces_fast_at_large_conductor():
 def test_reduce_vector_matches_row_reduction(k, data):
     # reduce_vector folds mod 1 + X^m + ... + X^((p-1)m), then divides by Phi_k
     ring = CycRing.get(k)
-    entry = st.one_of(st.integers(-10**20, 10**20), small_rat)
-    vec = data.draw(st.lists(entry, max_size=k))
+    vec = data.draw(st.lists(st.integers(-10**20, 10**20), max_size=k))
     got = ring.reduce_vector(vec)
     assert got == _row_reduce(ring, vec)
-    assert all(type(c) is Fraction for c in got)
+    assert all(type(c) is int for c in got)  # int in, int out
 
 
 def test_division_is_by_rationals_only():
@@ -245,12 +246,184 @@ def test_division_is_by_rationals_only():
     with pytest.raises(ValueError):
         CycNum.zeta(5) / CycNum.zeta(5)
     # a rational that was never folded to conductor 1 still divides
-    three = CycNum(5, (Fraction(3), Fraction(0), Fraction(0), Fraction(0)))
+    three = CycNum(5, (3, 0, 0, 0))
     assert (z / three) * 3 == z
     with pytest.raises(ZeroDivisionError):
         z / 0
     with pytest.raises(ZeroDivisionError):
-        z / CycNum(5, (Fraction(0),) * 4)
+        z / CycNum(5, (0,) * 4)
+
+
+# -- reference: the Fraction-coordinate arithmetic ---------------------------
+#
+# A value is (k, coeffs) with one Fraction per coordinate mod Phi_k, reduced
+# by _row_reduce. CycNum's integer numerators over one denominator must give
+# the same conductor and the same coordinates, since both enter the JSON
+# digests.
+
+
+def ref_make(k, coeffs):
+    coeffs = tuple(coeffs)
+    if k > 1 and not any(coeffs[1:]):
+        return 1, coeffs[:1]
+    return k, coeffs
+
+
+def ref_from_counter(k, counter):
+    clean = {}
+    for e, c in counter.items():
+        clean[e % k] = clean.get(e % k, 0) + Fraction(c)
+    clean = {e: c for e, c in clean.items() if c}
+    if not clean:
+        return 1, (Fraction(0),)
+    g = math.gcd(k, *clean)
+    k2 = k // g
+    if k2 == 1:
+        return 1, (sum(clean.values()),)
+    if k2 == 2:
+        return 1, (sum(c if (e // g) % 2 == 0 else -c for e, c in clean.items()),)
+    vec = [0] * k2
+    for e, c in clean.items():
+        vec[e // g] += c
+    return ref_make(k2, _row_reduce(CycRing.get(k2), vec))
+
+
+def ref_embed(kk, a):
+    k, coeffs = a
+    vec = [Fraction(0)] * kk
+    for i, c in enumerate(coeffs):
+        vec[i * (kk // k)] += c
+    return _row_reduce(CycRing.get(kk), vec)
+
+
+def ref_pair(a, b):
+    kk = math.lcm(a[0], b[0])
+    va = a[1] if a[0] == kk else ref_embed(kk, a)
+    vb = b[1] if b[0] == kk else ref_embed(kk, b)
+    return kk, va, vb
+
+
+def ref_add(a, b):
+    kk, va, vb = ref_pair(a, b)
+    return ref_make(kk, [x + y for x, y in zip(va, vb)])
+
+
+def ref_neg(a):
+    return a[0], tuple(-c for c in a[1])
+
+
+def ref_mul(a, b):
+    if a[0] == 1 or b[0] == 1:
+        (k, coeffs), c = (a, b[1][0]) if b[0] == 1 else (b, a[1][0])
+        return ref_make(k, [x * c for x in coeffs])
+    kk, va, vb = ref_pair(a, b)
+    vec = [Fraction(0)] * kk
+    for i, x in enumerate(va):
+        for j, y in enumerate(vb):
+            vec[(i + j) % kk] += x * y
+    return ref_make(kk, _row_reduce(CycRing.get(kk), vec))
+
+
+def ref_conj(a):
+    k, coeffs = a
+    return a if k == 1 else ref_from_counter(k, {-i: c for i, c in enumerate(coeffs) if c})
+
+
+def ref_eq(a, b):
+    _, va, vb = ref_pair(a, b)
+    return va == vb
+
+
+def ref_as_rational(a):
+    return a[1][0] if not any(a[1][1:]) else None
+
+
+def state(z):
+    """(conductor, Fraction coordinates) of a CycNum, checking its invariants."""
+    assert z.den > 0 and math.gcd(z.den, *z.nums) == 1
+    assert all(type(c) is int for c in z.nums)
+    return z.k, z.coeffs
+
+
+MIXED_CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 20, 24]
+
+
+@st.composite
+def counters(draw):
+    k = draw(st.sampled_from(MIXED_CONDUCTORS))
+    value = st.one_of(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=12))
+    return k, draw(st.dictionaries(st.integers(-2 * k, 2 * k), value, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(counters(), counters(), st.fractions(-5, 5, max_denominator=9))
+def test_integer_cycnum_matches_fraction_reference(ca, cb, r):
+    a, b = CycNum.from_counter(*ca), CycNum.from_counter(*cb)
+    ra, rb = ref_from_counter(*ca), ref_from_counter(*cb)
+    assert state(a) == ra and state(b) == rb
+    assert state(a + b) == ref_add(ra, rb)
+    assert state(a - b) == ref_add(ra, ref_neg(rb))
+    assert state(a * b) == ref_mul(ra, rb)
+    assert state(a.conj()) == ref_conj(ra)
+    assert (a == b) is ref_eq(ra, rb)
+    assert a.as_rational() == ref_as_rational(ra)
+    kk = math.lcm(a.k, b.k)
+    assert tuple(Fraction(c, a.den) for c in CycRing.get(kk).embed(a.k, a.nums)) == ref_embed(kk, ra)
+    if r:
+        assert state(a / r) == ref_mul(ra, (1, (1 / r,)))
+        assert state(a * r) == ref_mul(ra, (1, (r,)))
+    d = a.to_json_dict()
+    assert d["conductor"] == ra[0]
+    assert d["coeffs"] == [[c.numerator, c.denominator] for c in ra[1]]
+
+
+def test_normal_form_is_kept():
+    # the constructor divides out gcd(den, *nums) and makes den positive
+    z = CycNum(5, (2, 4, 0, 6), -6)
+    assert (z.nums, z.den) == ((-1, -2, 0, -3), 3)
+    assert CycNum(5, (0, 0, 0, 0), 7).den == 1
+    with pytest.raises(ZeroDivisionError):
+        CycNum(5, (1, 0, 0, 0), 0)
+    # a product that cancels the denominator leaves den = 1, not (2, 2)
+    half = CycNum.zeta(5) / 2
+    assert half.den == 2
+    twice = half * 2
+    assert (twice.nums, twice.den) == (CycNum.zeta(5).nums, 1)
+    assert (half + half).den == 1
+    assert (half - half).den == 1 and (half - half).is_zero()
+    # and a sum whose coordinates share a factor with the denominator
+    third = CycNum.rational(Fraction(1, 3))
+    assert (third * 3).den == 1
+    assert (CycNum.zeta(3) / 6 + CycNum.zeta(3) / 6).den == 3
+
+
+def test_equality_across_conductors_with_denominators():
+    # embedding keeps the normal form, so equal values share den
+    assert CycNum.zeta(8, 2) / 3 == CycNum.zeta(4) / 3
+    assert CycNum.zeta(8, 2) / 3 != CycNum.zeta(4) / 6
+    assert (CycNum.zeta(6) + 1) / 2 == (1 - CycNum.zeta(3, 2)) / 2
+    assert CycNum(5, (3, 0, 0, 0), 4) == Fraction(3, 4)
+    assert CycNum(5, (3, 0, 0, 0), 4) != Fraction(3, 2)
+    root2 = CycNum.zeta(8) + CycNum.zeta(8, 7)
+    assert (root2 / 4) * (root2 / 4) == CycNum.rational(Fraction(1, 8))
+
+
+def test_cycnum_is_immutable_and_copies():
+    z = CycNum.zeta(8) / 3
+    with pytest.raises(AttributeError):
+        z.den = 1
+    assert copy.deepcopy(z) == z
+    w = pickle.loads(pickle.dumps(z))
+    assert (w.k, w.nums, w.den) == (z.k, z.nums, z.den)
+
+
+def test_rational_rejects_floats():
+    with pytest.raises(TypeError):
+        CycNum.rational(0.1)
+    with pytest.raises(TypeError):
+        CycNum.zeta(5) + 0.1
+    assert CycNum.rational(Fraction(1, 10)).as_rational() == Fraction(1, 10)
+    assert CycNum.rational(True).as_rational() == 1
 
 
 def test_as_rational():
@@ -325,6 +498,13 @@ def test_prime_ideal_rejects_bad_denominator():
     h = _handle_8_over_7()
     with pytest.raises(ValueError):
         h.reduce(CycNum.rational(Fraction(1, 7)))
+    with pytest.raises(ValueError):
+        h.reduce(CycNum.zeta(8) + Fraction(1, 7))  # one coordinate is enough
+    # a denominator prime to p is inverted once for all coordinates
+    t = h.tower
+    z = (CycNum.zeta(8) + CycNum.zeta(8, 2)) / 3
+    assert h.reduce(z * 3) == t.add(h.root, t.power(h.root, 2))
+    assert h.reduce(z) == t.mul(t.from_prime(pow(3, 5, 7)), h.reduce(z * 3))
     with pytest.raises(ValueError):
         h.reduce(CycNum.zeta(5))  # conductor 5 does not divide 8
 
