@@ -17,9 +17,11 @@ average over h k_0, an average over h_0 k) which must agree.
 
 Everything that depends only on the group is computed once per group and
 memoized on the PGL2 object: the pair classification (q^2 - 1 products,
-folded through the invariant tr^2/det so that only O(q) of them are
-classified one by one), and PGL2.torus_classes, the class multisets of
-the trace-zero products h k_0 and h_0 k. Per representation only the
+folded through the invariant tr^2/det, whose multiplicities come from
+one packed convolution of two histograms over subfield discrete logs,
+so that only O(q) of them are classified one by one), and
+PGL2.torus_classes, the class multisets of the trace-zero products
+h k_0 and h_0 k. Per representation only the
 character values are summed against these class counts, by
 PGL2.class_sum or by a family kernel, and the constant
 itself is memoized on the group too, so correlate_all, regular_identity,
@@ -53,6 +55,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import gfpoly
 from .cyclo import CycNum
 from .fields import ConsistencyError, FqElem
 from .pgl2 import PGL2, Label, Mat, mat_det, mat_mul
@@ -82,7 +85,11 @@ def _classify_pairs(g: PGL2) -> dict[Label, int]:
     # x and the class), except at trace zero, where x = 0 fits both a split
     # and an elliptic class and the determinant decides. For h = diag(a, 1)
     # the trace a*k00 + k11 depends only on a and the diagonal of k, so the
-    # pairs fold into multiplicities of tr^2/a and of det k per diagonal.
+    # pairs fold into multiplicities of u = tr^2/a and of 1/det k per
+    # diagonal. x = u * (1/det k) multiplies subfield elements, which adds
+    # their subfield discrete logs mod q - 1: the multiplicities of x are
+    # the convolution of the two histograms over those logs, folded mod
+    # q - 1, and only the x that occur are classified.
     groups: dict[tuple[FqElem, FqElem], dict[FqElem, int]] = {}
     for k in g.K:
         if k[2] is None:
@@ -90,24 +97,27 @@ def _classify_pairs(g: PGL2) -> dict[Label, int]:
         dets = groups.setdefault((k[0], k[3]), {})
         detk = mat_det(t, k)
         dets[detk] = dets.get(detk, 0) + 1
-    by_x: dict[FqElem, int] = {}
+    cof = g.cof
+    by_x = [0] * (q - 1)  # by subfield discrete log
     for (k00, k11), dets in groups.items():
-        by_u: dict[FqElem, int] = {}
+        by_u = [0] * (q - 1)
         for a in g.q_units():
             tr = t.add(t.mul(a, k00), k11)
             if tr is None:
                 for d, n in dets.items():
                     counts[g.classify_trace_det(None, t.mul(a, d))] += n
             else:
-                u = t.div(t.mul(tr, tr), a)
-                by_u[u] = by_u.get(u, 0) + 1
-        for u, nu in by_u.items():
-            for d, nd in dets.items():
-                x = t.div(u, d)
-                by_x[x] = by_x.get(x, 0) + nu * nd
+                by_u[t.div(t.mul(tr, tr), a) // cof] += 1
+        by_inv_det = [0] * (q - 1)
+        for d, n in dets.items():
+            by_inv_det[t.inv(d) // cof] += n
+        lanes = gfpoly.lane_convolve(by_u, by_inv_det, max(*by_u, *by_inv_det))
+        for i, n in enumerate(lanes):
+            by_x[i % (q - 1)] += n
     one = t.one
-    for x, n in by_x.items():
-        counts[g.classify_trace_det(one, t.inv(x))] += n
+    for i, n in enumerate(by_x):
+        if n:
+            counts[g.classify_trace_det(one, t.inv(i * cof))] += n
     if sum(counts.values()) != q * q - 1:
         raise ConsistencyError("pair classification lost mass")
     return counts

@@ -15,7 +15,9 @@ table of powers of X. Division of CycNums is by rational values only.
 The module also provides the reduction of a CycNum at a prime ideal above
 p, presented by a primitive k-th root of unity in a field tower; the
 image is a tower element, and the root's minimal polynomial is the
-irreducible factor of Phi_k mod p that names the prime.
+irreducible factor of Phi_k mod p that names the prime. The factors of
+Phi_k mod p come from an independent route: Phi_k is split by binomials
+X^(k/r) - u, r = gcd(k, p - 1), and each piece by Cantor-Zassenhaus.
 """
 
 from __future__ import annotations
@@ -90,16 +92,27 @@ class CycRing:
         self._fold_step = k // min(gfpoly.factorint(k)) if k > 1 else None
         # (i, a) for the nonzero a X^i of Phi_k below X^phi(k), which is monic
         self._terms = [(i, a) for i, a in enumerate(self.phi_poly[: self.deg]) if a]
+        self._phi_mod: dict[int, list[int]] = {}
 
     @classmethod
-    def get(cls, k: int, cap: int = DEFAULT_CONDUCTOR_CAP) -> "CycRing":
-        if k > cap:
+    def get(cls, k: int, cap: int | None = DEFAULT_CONDUCTOR_CAP) -> "CycRing":
+        """The shared ring of conductor k; cap=None for callers that only
+        read Phi_k (factoring, prime handles) and never reduce at k."""
+        if cap is not None and k > cap:
             raise ValueError(f"conductor {k} exceeds cap {cap}")
         ring = cls._cache.get(k)
         if ring is None:
             ring = cls(k)
             cls._cache[k] = ring
         return ring
+
+    def phi_mod(self, p: int) -> list[int]:
+        """Phi_k mod p, computed once per prime; callers must not mutate it.
+        Phi_k is monic, so the degree stays phi(k)."""
+        f = self._phi_mod.get(p)
+        if f is None:
+            f = self._phi_mod[p] = [c % p for c in self.phi_poly]
+        return f
 
     def reduce_vector(self, vec: list[int]) -> tuple[int, ...]:
         """Reduce an int coefficient vector of length <= k to the basis.
@@ -209,21 +222,28 @@ class CycNum:
         vec = [0] * (k // g)
         for e, c in clean.items():
             vec[e // g] = c
-        return CycNum._from_vector(k // g, vec, den)
+        return CycNum._reduce(k // g, vec, den)
 
     @staticmethod
     def _from_vector(k: int, vec: list[int], den: int = 1) -> "CycNum":
         """Sum of vec[e] * zeta_k^e / den over e < k, conductor-reduced.
 
-        The one reduction path: from_counter, conj and the family kernels
-        of the correlation constants all end here. The ring of conductor 2
-        reduces to the constant term, so _make folds it to conductor 1.
+        conj and the family kernels of the correlation constants start
+        here; the gcd of k with the support picks the conductor.
         """
         g = math.gcd(k, *itertools.compress(range(k), vec))
-        if g == k:  # supported on exponent 0: a rational
+        return CycNum._reduce(k // g, vec[::g], den)
+
+    @staticmethod
+    def _reduce(k: int, vec: list[int], den: int) -> "CycNum":
+        """The one reduction path, for a vec of length k whose support has
+        gcd 1 with k (from_counter has already taken that gcd). Conductors
+        1 and 2 are rational: zeta_2 = -1 needs no ring."""
+        if k == 1:
             return CycNum(1, (vec[0],), den)
-        k //= g
-        return CycNum._make(k, CycRing.get(k).reduce_vector(vec[::g]), den)
+        if k == 2:
+            return CycNum(1, (vec[0] - vec[1],), den)
+        return CycNum._make(k, CycRing.get(k).reduce_vector(vec), den)
 
     @staticmethod
     def _make(k: int, nums: tuple[int, ...], den: int) -> "CycNum":
@@ -361,12 +381,32 @@ class CycNum:
         return f"CycNum(k={self.k}, ~{z.real:.6g}{z.imag:+.6g}j)"
 
 
+def _residue_degree(k: int, p: int) -> int:
+    """The order of p mod k (1 for k = 1), the degree of every irreducible
+    factor of Phi_k mod p when p does not divide k."""
+    d = 1
+    while pow(p, d, k) != 1 % k:
+        d += 1
+    return d
+
+
 def factor_cyclotomic_mod_p(k: int, p: int, seed: int = 0) -> list[list[int]]:
     """Irreducible factors of Phi_k mod p, sorted by coefficient tuple.
 
     Requires p odd and coprime to k; then all factors share the degree
     d = ord of p modulo k and the list has phi(k)/d entries. Deterministic
     for a fixed seed.
+
+    Phi_k is first split into the pieces gcd(Phi_k, X^(k/r) - u), with
+    r = gcd(k, p - 1) and one piece for each u in F_p of order exactly r
+    (_binomial_pieces), and each piece is factored by equal_degree_factor.
+    The split is exact: p does not divide k, so Phi_k is separable mod p
+    and its roots are the zeta of order k. Then zeta^(k/r) has order r,
+    and r | p - 1 puts it in F_p^*: every root lies in exactly one piece.
+    Each piece is Frobenius-stable, since zeta -> zeta^p fixes
+    zeta^(k/r) = u in F_p, so it is a product of irreducible factors of
+    Phi_k. And it has degree phi(k)/phi(r): the unit exponents a mod k
+    with a = b mod r, for a fixed unit b mod r, number phi(k)/phi(r).
     """
     if p == 2:
         raise ValueError("p must be odd")
@@ -375,18 +415,46 @@ def factor_cyclotomic_mod_p(k: int, p: int, seed: int = 0) -> list[list[int]]:
     key = (k, p, seed)
     if key in _FACTOR_CACHE:
         return _FACTOR_CACHE[key]
-    d = 1  # the order of p mod k; every power is 0 mod 1, so Phi_1 has d = 1
-    while k > 1 and pow(p, d, k) != 1:
-        d += 1
-    f = [c % p for c in cyclotomic_poly(k)]
-    while f and f[-1] == 0:
-        f.pop()
-    if len(f) == d + 1:
-        factors = [gfpoly.monic(f, p)]
-    else:
-        factors = gfpoly.equal_degree_factor(f, d, p, seed)
+    d = _residue_degree(k, p)
+    r = math.gcd(k, p - 1)
+    primes = gfpoly.factorint(r)
+    units = [
+        u for u in range(1, p)
+        if pow(u, r, p) == 1 and all(pow(u, r // s, p) != 1 for s in primes)
+    ]
+    factors = []
+    for piece in _binomial_pieces(CycRing.get(k, cap=None).phi_mod(p), k // r, units, p):
+        if gfpoly.degree(piece) == d:
+            factors.append(piece)
+        else:
+            factors += gfpoly.equal_degree_factor(piece, d, p, seed)
+    factors.sort(key=tuple)
     _FACTOR_CACHE[key] = factors
     return factors
+
+
+def _binomial_pieces(f: list[int], m: int, units: list[int], p: int) -> list[list[int]]:
+    """gcd(f, X^m - u) for each u in units, for monic f over F_p.
+
+    f mod X^m - u is one fold: X^m = u, so the coefficient blocks of
+    length m are summed by Horner in u from the top block down. Raises
+    ConsistencyError unless the pieces' degrees sum to deg f, the check
+    that the binomials split f completely.
+    """
+    padded = f + [0] * (-len(f) % m)
+    blocks = [padded[i : i + m] for i in range(0, len(padded), m)]
+    pieces = []
+    for u in units:
+        rem = [0] * m
+        for block in reversed(blocks):
+            rem = [(c * u + b) % p for c, b in zip(rem, block)]
+        pieces.append(gfpoly.gcd([-u % p] + [0] * (m - 1) + [1], gfpoly.trim(rem), p))
+    if sum(map(gfpoly.degree, pieces)) != gfpoly.degree(f):
+        raise ConsistencyError(
+            f"the pieces gcd(f, X^{m} - u) do not split f: degrees sum to "
+            f"{sum(map(gfpoly.degree, pieces))}, not {gfpoly.degree(f)}"
+        )
+    return pieces
 
 
 class PrimeIdealHandle:
@@ -398,15 +466,22 @@ class PrimeIdealHandle:
     polynomial over F_p, `factor`, is the irreducible factor of Phi_k mod p
     that names the prime.
 
-    The constructor checks only that factor divides Phi_k mod p: that
-    implies X has order exactly k mod factor. The tower holds the root only
-    if k | p^m - 1, so p does not divide k and X^k - 1 is separable; the
-    roots of its factor Phi_k are then exactly the elements of order k. So
-    factor is squarefree, F_p[X]/(factor) is a product of fields, and in
-    each X is a root of Phi_k.
+    The factor is either passed in (prime_handles hands over the minimal
+    polynomial root_relabel_map found for this root) or computed with the
+    tower's minpoly. A passed factor is checked to be monic of degree
+    ord_k(p) with factor(root) = 0, one Horner pass in the tower: the
+    minimal polynomial of the root has that degree and divides the
+    factor, so the two are equal.
+
+    Either way the constructor then checks that factor divides Phi_k mod
+    p, which implies X has order exactly k mod factor. The tower holds the
+    root only if k | p^m - 1, so p does not divide k and X^k - 1 is
+    separable; the roots of its factor Phi_k are then exactly the elements
+    of order k. So factor is squarefree, F_p[X]/(factor) is a product of
+    fields, and in each X is a root of Phi_k.
     """
 
-    def __init__(self, tower: FieldTower, k: int, a: int):
+    def __init__(self, tower: FieldTower, k: int, a: int, factor: list[int] | None = None):
         if k < 1 or tower.order % k:
             raise ValueError(f"the tower holds no primitive {k}-th root of unity")
         if math.gcd(a, k) != 1:
@@ -417,10 +492,18 @@ class PrimeIdealHandle:
         self.p = p
         self.a = a % k
         self.root = tower.order // k * self.a % tower.order
-        self.factor = tower.minpoly(self.root)
-        self.residue_degree = gfpoly.degree(self.factor)
+        if factor is None:
+            factor = tower.minpoly(self.root)
+        else:
+            degree_ok = len(factor) == _residue_degree(k, p) + 1 and factor[-1] == 1
+            if not degree_ok or tower.eval_poly(factor, self.root) is not None:
+                raise ConsistencyError(
+                    f"{factor} is not the minimal polynomial of the residue root"
+                )
+        self.factor = factor
+        self.residue_degree = gfpoly.degree(factor)
         # independent of the tower tables (see the class docstring)
-        if gfpoly.mod([c % p for c in cyclotomic_poly(k)], self.factor, p):
+        if gfpoly.mod(CycRing.get(k, cap=None).phi_mod(p), factor, p):
             raise ConsistencyError("residue root's minimal polynomial does not divide Phi_k")
 
     def reduce(self, z: CycNum) -> FqElem:

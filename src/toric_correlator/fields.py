@@ -39,6 +39,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _shift_row(p: int, lead: int, mods: list[int], low: int, start: int) -> list[int]:
+    """start + sum over j of ((a_j - lead * mods[j]) mod p) * p^(low + j),
+    for every a in range(p^len(mods)) with base-p digits a_j.
+
+    Each digit's term depends on that digit alone, so the row is built as
+    one outer sum per digit, from the top digit down: the last digit added
+    varies fastest, as a_0 does in a.
+    """
+    row = [start]
+    for j in range(len(mods) - 1, -1, -1):
+        w, c = p ** (low + j), lead * mods[j]
+        terms = [(a - c) % p * w for a in range(p)]
+        row = [x + y for x in row for y in terms]
+    return row
+
+
 class FieldTower:
     """F_{p^m} with exp/dlog/Zech tables and subfield index arithmetic."""
 
@@ -106,21 +122,10 @@ class FieldTower:
         else:
             h = m // 2
             ph, pb = p**h, p ** (m - 1 - h)
-            # digit i of X v is digit i of p v minus lead * mod[i]
-            ta = [
-                [
-                    sum((a * p // p**i % p - lead * mod[i]) % p * p**i for i in range(h + 1))
-                    for a in range(ph)
-                ]
-                for lead in range(p)
-            ]
-            tb = [
-                sum(
-                    (hi * p // p ** (i - h) % p - hi // pb * mod[i]) % p * p**i
-                    for i in range(h + 1, m)
-                )
-                for hi in range(p * pb)
-            ]
+            # digit i of X v is digit i of p v minus lead * mod[i]; TB's
+            # index is lead * pb plus the digits it shifts
+            ta = [_shift_row(p, lead, mod[1 : h + 1], 1, -lead * mod[0] % p) for lead in range(p)]
+            tb = [x for lead in range(p) for x in _shift_row(p, lead, mod[h + 1 : m], h + 1, 0)]
             for e in range(order):
                 exp_table[e] = v
                 hi = v // ph

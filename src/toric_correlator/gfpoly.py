@@ -33,18 +33,31 @@ assert array("Q").itemsize == _LANE_BYTES
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
+def lane_convolve(a: list[int], b: list[int], bound: int) -> array:
+    """The convolution of two sequences of ints in range(bound + 1), as
+    len(a) + len(b) - 1 unsigned 64-bit lanes.
+
+    Each sequence is packed into one big integer with a lane per entry, and
+    one integer product (Karatsuba inside CPython) does the convolution. A
+    lane collects at most min(len(a), len(b)) products of two entries; a
+    ValueError is raised unless that sum fits in its 64 bits, so no lane
+    ever carries into the next.
+    """
+    if min(len(a), len(b)) * bound * bound >> 8 * _LANE_BYTES:
+        raise ValueError("coefficient sums would overflow a 64-bit lane")
+    pa = _pack(a)
+    prod = pa * pa if a is b else pa * _pack(b)
+    lanes = array("Q", prod.to_bytes((len(a) + len(b) - 1) * _LANE_BYTES, "little"))
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return lanes
+
+
 def _pack(a: list[int]) -> int:
     lanes = array("Q", a)
     if _BIG_ENDIAN:
         lanes.byteswap()
     return int.from_bytes(lanes.tobytes(), "little")
-
-
-def _unpack(x: int, n: int) -> array:
-    lanes = array("Q", x.to_bytes(n * _LANE_BYTES, "little"))
-    if _BIG_ENDIAN:
-        lanes.byteswap()
-    return lanes
 
 
 def trim(a: list[int]) -> list[int]:
@@ -81,16 +94,9 @@ def sub(a: list[int], b: list[int], p: int) -> list[int]:
 def mul(a: list[int], b: list[int], p: int) -> list[int]:
     if not a or not b:
         return []
-    n = len(a) + len(b) - 1
-    short = min(len(a), len(b))
-    if short >= PACKED_DEGREE - 1:
-        # a lane collects at most `short` products of two residues
-        if short * (p - 1) ** 2 >> 8 * _LANE_BYTES:
-            raise ValueError("coefficient sums would overflow a 64-bit lane")
-        pa = _pack(a)
-        prod = pa * pa if a is b else pa * _pack(b)
-        return trim([c % p for c in _unpack(prod, n)])
-    out = [0] * n
+    if min(len(a), len(b)) >= PACKED_DEGREE - 1:
+        return trim([c % p for c in lane_convolve(a, b, p - 1)])
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
             continue

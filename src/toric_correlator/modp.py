@@ -73,7 +73,8 @@ def prime_handles(g: PGL2, conductor: int, seed: int = 0) -> list[PrimeIdealHand
     """All primes above p in Q(zeta_conductor), sorted by factor.
 
     The primes come from the group's tower: one handle per key of
-    root_relabel_map, with that key's root exponent. The factors of
+    root_relabel_map, with that key's root exponent and the key itself as
+    its minimal polynomial, which the handle checks with one evaluation. The factors of
     Phi_conductor mod p from factor_cyclotomic_mod_p are an independent
     source, and the two lists must agree. The list is built and checked
     once per group and conductor (`seed` only steers that first
@@ -83,7 +84,9 @@ def prime_handles(g: PGL2, conductor: int, seed: int = 0) -> list[PrimeIdealHand
     handles = g._handle_cache.get(conductor)
     if handles is None:
         relabel = root_relabel_map(g, conductor)
-        handles = [PrimeIdealHandle(g.tower, conductor, relabel[key]) for key in sorted(relabel)]
+        handles = [
+            PrimeIdealHandle(g.tower, conductor, relabel[key], list(key)) for key in sorted(relabel)
+        ]
         if [h.factor for h in handles] != factor_cyclotomic_mod_p(conductor, g.p, seed):
             raise ConsistencyError(
                 f"the primes above {g.p} of Q(zeta_{conductor}) read from the tower "

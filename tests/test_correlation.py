@@ -25,6 +25,8 @@ from toric_correlator.correlation import (
 from toric_correlator.fields import ConsistencyError
 from toric_correlator.pgl2 import mat_mul
 
+from test_pgl2 import ODD_Q_TO_49
+
 
 def reference_corr_constant(g, rep, counts=None):
     """c(rep) summed class by class through char_counter, uncached."""
@@ -163,7 +165,7 @@ def test_pair_class_counts_mutation_does_not_leak(g7):
     regular_identity(g7)
 
 
-@pytest.mark.parametrize("p, f", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("p, f", ODD_Q_TO_49)
 def test_pair_class_counts_match_per_product_classification(p, f):
     g = PGL2(p, f)
     t = g.tower

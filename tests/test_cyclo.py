@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_correlator import (
@@ -20,6 +20,8 @@ from toric_correlator import (
     factor_cyclotomic_mod_p,
 )
 from toric_correlator import gfpoly
+from toric_correlator.cyclo import _binomial_pieces
+from toric_correlator.fields import ConsistencyError
 
 
 def test_cyclotomic_poly_small():
@@ -357,6 +359,11 @@ def counters(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(counters(), counters(), st.fractions(-5, 5, max_denominator=9))
+# values that reduce to conductor 2 (zeta_2 = -1 needs no ring), from
+# conductor 2 itself and from odd multiples k/2 of the support gcd
+@example((2, {1: 3, 0: 1}), (2, {3: Fraction(1, 2)}), Fraction(2, 3))
+@example((6, {3: Fraction(-5, 4), 9: 2, 0: 1}), (10, {5: 1}), Fraction(-1, 2))
+@example((4, {2: Fraction(1, 3), -2: 1}), (12, {6: 4, 0: Fraction(1, 6)}), Fraction(0))
 def test_integer_cycnum_matches_fraction_reference(ca, cb, r):
     a, b = CycNum.from_counter(*ca), CycNum.from_counter(*cb)
     ra, rb = ref_from_counter(*ca), ref_from_counter(*cb)
@@ -458,6 +465,52 @@ def test_factor_cyclotomic_mod_p_structure():
         assert prod == [c % p for c in cyclotomic_poly(k)]
         # deterministic across calls
         assert factors == factor_cyclotomic_mod_p(k, p)
+
+
+def units_of_order(r, p):
+    """Reference: the u in F_p^* of multiplicative order exactly r."""
+    out = []
+    for u in range(1, p):
+        o, x = 1, u
+        while x != 1:
+            o, x = o + 1, x * u % p
+        if o == r:
+            out.append(u)
+    return out
+
+
+def totient(n):
+    return sum(1 for j in range(1, n + 1) if math.gcd(j, n) == 1)
+
+
+@pytest.mark.parametrize("p, f", [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+                         + [(3, 2), (5, 2), (3, 3)])
+def test_factorization_by_pieces_matches_plain_edf(p, f):
+    # every conductor k | q^2 - 1, q <= 31: p = 3 splits into r = 2 pieces
+    # only, and k | p - 1 gives linear pieces
+    q = p**f
+    for k in (k for k in range(1, q * q) if (q * q - 1) % k == 0):
+        phi = [c % p for c in cyclotomic_poly(k)]
+        d = 1
+        while pow(p, d, k) != 1 % k:
+            d += 1
+        plain = [phi] if len(phi) == d + 1 else gfpoly.equal_degree_factor(phi, d, p, seed=3)
+        assert factor_cyclotomic_mod_p(k, p) == plain
+        r = math.gcd(k, p - 1)
+        pieces = _binomial_pieces(phi, k // r, units_of_order(r, p), p)
+        assert len(pieces) == totient(r)
+        assert all(gfpoly.degree(g) == totient(k) // totient(r) for g in pieces)
+
+
+def test_binomial_pieces_reject_a_wrong_unit():
+    # Phi_24 mod 7: r = 6, and the units of order 6 are 3 and 5
+    p, k = 7, 24
+    phi = [c % p for c in cyclotomic_poly(k)]
+    assert units_of_order(6, p) == [3, 5]
+    assert sum(gfpoly.degree(g) for g in _binomial_pieces(phi, 4, [3, 5], p)) == 8
+    for wrong in ([3, 2], [3], [3, 5, 5]):
+        with pytest.raises(ConsistencyError, match="do not split"):
+            _binomial_pieces(phi, 4, wrong, p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

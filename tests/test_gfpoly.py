@@ -153,6 +153,23 @@ def test_mul_packs_both_sides_of_the_cutoff():
         gfpoly.mul([big - 1] * 10, [big - 1] * 10, big)
 
 
+def test_lane_convolve_matches_integer_convolution():
+    # unreduced counts, as the pair classification convolves, on operands
+    # of every length down to one entry
+    rng = random.Random(5)
+    for la, lb in ((1, 1), (1, 7), (9, 3), (40, 41), (360, 360)):
+        a = [rng.randrange(400) for _ in range(la)]
+        b = [rng.randrange(400) for _ in range(lb)]
+        want = [0] * (la + lb - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                want[i + j] += x * y
+        assert list(gfpoly.lane_convolve(a, b, 399)) == want
+        assert list(gfpoly.lane_convolve(a, a, 399)) == list(gfpoly.lane_convolve(a, list(a), 399))
+    with pytest.raises(ValueError, match="lane"):
+        gfpoly.lane_convolve([1] * 4, [1] * 4, 2**31)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_barrett_remainder_matches_divmod(data):

@@ -13,7 +13,9 @@ from toric_correlator import (
     PGL2,
     ConsistencyError,
     CycNum,
+    CycRing,
     PrimeIdealHandle,
+    cyclotomic_poly,
     factor_cyclotomic_mod_p,
     gfpoly,
     predicted_residue,
@@ -169,6 +171,30 @@ def test_handle_rejects_a_factor_of_a_smaller_cyclotomic(
             monkeypatch.setattr(t, "minpoly", lambda _root, w=wrong: list(w))
             with pytest.raises(ConsistencyError):
                 PrimeIdealHandle(t, k, 1)
+
+
+@pytest.mark.parametrize("p, f, pin, listed, distinguished", HANDLE_CASES)
+def test_handle_checks_a_passed_factor(p, f, pin, listed, distinguished):
+    # prime_handles passes each root's minimal polynomial in; the handle
+    # checks factor(root) = 0 and the degree instead of calling minpoly
+    t = PGL2(p, f, chi_modulus=None if pin is None else list(pin)).tower
+    for k in listed:
+        phi = CycRing.get(k, cap=None).phi_mod(p)
+        assert phi == [c % p for c in cyclotomic_poly(k)]
+        assert CycRing.get(k, cap=None).phi_mod(p) is phi  # once per (k, p)
+        own = t.minpoly(t.order // k % t.order)
+        assert PrimeIdealHandle(t, k, 1, list(own)).factor == own
+        for other in factor_cyclotomic_mod_p(k, p):
+            if other == own:
+                continue
+            with pytest.raises(ConsistencyError, match="not the minimal polynomial"):
+                PrimeIdealHandle(t, k, 1, list(other))
+            # divisible by the root's minimal polynomial, but of the wrong degree
+            with pytest.raises(ConsistencyError, match="not the minimal polynomial"):
+                PrimeIdealHandle(t, k, 1, gfpoly.mul(own, other, p))
+        # a scaled, so non-monic, minimal polynomial
+        with pytest.raises(ConsistencyError, match="not the minimal polynomial"):
+            PrimeIdealHandle(t, k, 1, gfpoly.scale(own, 2, p))
 
 
 def brute_relabel_map(g, conductor):
