@@ -1,19 +1,27 @@
-"""Finite fields presented through one discrete-log table.
+"""Finite fields presented through discrete logs and Zech logarithms.
 
 A tower is the field F_{p^m} realized as F_p[X]/(modulus) for a primitive
 modulus, so the class g of X generates the multiplicative group. A nonzero
 element is stored as its discrete log base g (an int in range(p^m - 1));
 zero is None. Multiplication is then index addition, and addition goes
-through a precomputed Zech logarithm table zech[e] = dlog(1 + g^e).
+through the Zech logarithm zech(e) = dlog(1 + g^e).
 
-Every subfield F_{p^d} with d | m lives inside the same table as {0} plus
-the powers of g^((p^m-1)/(p^d-1)), so norms, traces, membership tests and
-subfield discrete logs are all integer arithmetic on exponents.
+Every tower the library builds has even degree m = 2f: it is F_{q^2} over
+F_q, q = p^f, and n = g^(q+1) generates F_q^*. Such a tower keeps tables of
+about q entries (the logs base n of F_q, the coordinates over F_q of g^b
+for b <= q, and the logs of the lines n^t + g) and derives each Zech log
+from them on first use, in a memo list. Odd-degree towers keep full
+exp/dlog/Zech tables from a walk over all p^m - 1 powers of X.
+
+Every subfield F_{p^d} with d | m is {0} plus the powers of
+g^((p^m-1)/(p^d-1)), so norms, traces, membership tests and subfield
+discrete logs are all integer arithmetic on exponents.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from . import gfpoly
 
@@ -56,7 +64,7 @@ def _shift_row(p: int, lead: int, mods: list[int], low: int, start: int) -> list
 
 
 class FieldTower:
-    """F_{p^m} with exp/dlog/Zech tables and subfield index arithmetic."""
+    """F_{p^m} with Zech-log addition and subfield index arithmetic."""
 
     def __init__(
         self,
@@ -85,51 +93,145 @@ class FieldTower:
                 raise ValueError("modulus must be monic of degree m")
             if not gfpoly.is_irreducible(modulus, p):
                 raise ValueError("modulus is reducible")
+            # the walk of an odd-degree tower checks this itself
+            if m % 2 == 0 and not gfpoly.element_order_check([0, 1], modulus, p, self.order):
+                raise ValueError("modulus is not primitive")
         self.modulus = modulus
-        self._build_tables()
         # exponent of -1; p = 2 never reaches the code that uses it
         self.neg_one_exp = self.order // 2 if p > 2 else 0
-        self._prime_exp: list[FqElem] = [None] + [
-            self._dlog[c] for c in range(1, p)
-        ]
+        if m % 2:
+            self._build_walk_tables()
+            self._prime_exp: list[FqElem] = [None] + self._dlog[1:p]
+        else:
+            self._build_tables()
+            # F_p lies in F_q, and log_g c = (q + 1) log_n c
+            self._prime_exp = [None] + [(self._q + 1) * self._flog[c] for c in range(1, p)]
         self._prime_val = {
             e: c for c, e in enumerate(self._prime_exp) if e is not None
         }
 
     def _build_tables(self) -> None:
+        """Tables of about q entries for m = 2f, q = p^f, from which zech(d)
+        is derived on first use.
+
+        With n = g^(q+1), every element is x + y g for x, y in F_q, and the
+        tables are:
+
+        - _fexp[i] = the coefficients of n^i, _flog the map from n^i
+          packed in base p to i, and _zq[i] = log_n(1 + n^i), None where
+          1 + n^i = 0;
+        - the coordinates g^b = n^_xs[b] + n^_ys[b] g for 0 <= b <= q (None
+          for a zero coordinate), from g^(b+1) = -n y_b + (x_b + s y_b) g,
+          since g^2 = s g - n with s = g + g^q; the F_q sums go through _zq;
+        - _pd[t] = dlog(n^t + g): for 2 <= b <= q both coordinates of g^b
+          are nonzero and g^b = n^y (n^(x - y) + g), so _pd[x - y] =
+          b - (q + 1) y. The q - 1 powers g^2, ..., g^q lie in distinct
+          cosets of F_q^*, so every t is hit once.
+
+        Every coordinate pair is checked against a walk through the first
+        q + 1 powers of X; a mismatch raises ConsistencyError. _zech is the
+        memo list, filled by add.
+        """
+        p, m = self.p, self.m
+        q = self._q = p ** (m // 2)
+        walk = [[1] + [0] * (m - 1)]
+        for _ in range(q + 1):
+            walk.append(self._times_x(walk[-1]))
+        # n v is the F_p-combination of the products n X^k, k < m, with
+        # v's coefficients; cols[j] holds digit j of each of them
+        rows = [walk[q + 1]]
+        for _ in range(m - 1):
+            rows.append(self._times_x(rows[-1]))
+        cols = list(zip(*rows))
+        fexp = [walk[0]]
+        for _ in range(q - 1):
+            fexp.append([sum(map(mul, fexp[-1], col)) % p for col in cols])
+        flog = {self.pack(v): i for i, v in enumerate(fexp[:-1])}
+        if fexp.pop() != walk[0] or len(flog) != q - 1:
+            raise ConsistencyError("g^(q+1) does not generate F_q^*")
+        zq: list[int | None] = [None] * (q - 1)
+        for pk, i in flog.items():
+            # 1 + v adds one to the constant digit, which wraps at p
+            pk1 = pk + 1 if pk % p != p - 1 else pk - p + 1
+            if pk1:
+                zq[i] = flog[pk1]
+        log_s = flog.get(self.pack([a + b for a, b in zip(walk[q], walk[1])]))
+        if log_s is None:
+            raise ConsistencyError("g + g^q is not in F_q^*")
+
+        def fq_add(u: int | None, w: int | None) -> int | None:
+            if u is None or w is None:
+                return w if u is None else u
+            z = zq[(w - u) % (q - 1)]
+            return None if z is None else (u + z) % (q - 1)
+
+        # log_n(-1) is (q - 1)/2, or 0 in characteristic 2
+        log_neg_n = self.neg_one_exp // (q + 1) + 1
+        xs: list[int | None] = [0]
+        ys: list[int | None] = [None]
+        for b in range(q):
+            y = ys[b]
+            xs.append(None if y is None else (log_neg_n + y) % (q - 1))
+            ys.append(fq_add(xs[b], None if y is None else (log_s + y) % (q - 1)))
+        self._fexp, self._flog, self._zq, self._xs, self._ys = fexp, flog, zq, xs, ys
+        for b in range(q + 1):
+            if self._point(b) != walk[b]:
+                raise ConsistencyError(f"coordinates of g^{b} disagree with X^{b}")
+        pd = [0] * (q - 1)
+        for b in range(2, q + 1):
+            pd[(xs[b] - ys[b]) % (q - 1)] = (b - (q + 1) * ys[b]) % self.order
+        self._pd = pd
+        self._zech: list[int | None] = [None] * self.order
+
+    def _zech_of(self, d: int) -> int | None:
+        """zech(d) = dlog(1 + g^d) from the F_q-sized tables.
+
+        Write d = (q + 1) a + b with 0 <= b <= q. Then g^d = n^a g^b =
+        n^(a + x_b) + n^(a + y_b) g, so 1 + g^d has coordinates
+        1 + n^(a + x_b), whose log is _zq[a + x_b] (0 when x_b is None, as
+        for b = 1), and n^(a + y_b) (zero when y_b is None, as for b = 0).
+        """
+        q = self._q
+        a, b = divmod(d, q + 1)
+        xb, yb = self._xs[b], self._ys[b]
+        x = 0 if xb is None else self._zq[(a + xb) % (q - 1)]
+        return self._join(x, None if yb is None else a + yb)
+
+    def _join(self, x: int | None, y: int | None) -> int | None:
+        """dlog(n^x + n^y g), with None for a zero coordinate: n^y g has log
+        (q + 1) y + 1, and n^x + n^y g = n^y (n^(x - y) + g)."""
+        q = self._q
+        if y is None:
+            return None if x is None else (q + 1) * x
+        if x is None:
+            return ((q + 1) * y + 1) % self.order
+        return ((q + 1) * y + self._pd[(x - y) % (q - 1)]) % self.order
+
+    def _build_walk_tables(self) -> None:
         """exp[e] = g^e as its base-p packed coefficients, dlog the reverse map,
-        zech[e] = dlog(1 + g^e).
+        zech[e] = dlog(1 + g^e), for odd m.
 
         A packed element is also its dlog index, so the walk through the
         powers of X stays in packed ints: v -> X v shifts the digits up and
-        subtracts lead * modulus digitwise mod p. For m = 2 that step is a
-        closed formula. Otherwise the low m - 1 digits split into a low
-        chunk of h = m // 2 digits and a high chunk of the rest, and
-        X v = TA[lead][low] + TB[v // p^h]: TA gives output digits 0..h and
-        TB digits h+1..m-1, so the two sums never carry into each other.
-        TA and TB have p^(h+1) and p^(m-h) entries, about p^ceil((m+1)/2);
-        for m = 2 they would be as large as the field.
+        subtracts lead * modulus digitwise mod p. The low m - 1 digits split
+        into a low chunk of h = m // 2 digits and a high chunk of the rest,
+        and X v = TA[lead][low] + TB[v // p^h]: TA gives output digits 0..h
+        and TB digits h+1..m-1, so the two sums never carry into each other.
+        TA and TB have p^(h+1) and p^(m-h) entries, about p^ceil((m+1)/2).
         """
         p, m, order, mod = self.p, self.m, self.order, self.modulus
         exp_table = [0] * order
         v = 1
-        if m == 2:
-            m0, m1 = mod[0], mod[1]
-            for e in range(order):
-                exp_table[e] = v
-                c1, c0 = divmod(v, p)
-                v = (c0 - c1 * m1) % p * p + (-c1 * m0) % p
-        else:
-            h = m // 2
-            ph, pb = p**h, p ** (m - 1 - h)
-            # digit i of X v is digit i of p v minus lead * mod[i]; TB's
-            # index is lead * pb plus the digits it shifts
-            ta = [_shift_row(p, lead, mod[1 : h + 1], 1, -lead * mod[0] % p) for lead in range(p)]
-            tb = [x for lead in range(p) for x in _shift_row(p, lead, mod[h + 1 : m], h + 1, 0)]
-            for e in range(order):
-                exp_table[e] = v
-                hi = v // ph
-                v = ta[hi // pb][v - hi * ph] + tb[hi]
+        h = m // 2
+        ph, pb = p**h, p ** (m - 1 - h)
+        # digit i of X v is digit i of p v minus lead * mod[i]; TB's
+        # index is lead * pb plus the digits it shifts
+        ta = [_shift_row(p, lead, mod[1 : h + 1], 1, -lead * mod[0] % p) for lead in range(p)]
+        tb = [x for lead in range(p) for x in _shift_row(p, lead, mod[h + 1 : m], h + 1, 0)]
+        for e in range(order):
+            exp_table[e] = v
+            hi = v // ph
+            v = ta[hi // pb][v - hi * ph] + tb[hi]
         # X^order = 1 and X^(order/r) != 1 for every prime r | order say X
         # has order exactly p^m - 1, so its powers are distinct
         if v != 1 or any(exp_table[order // r] == 1 for r in gfpoly.factorint(order)):
@@ -162,21 +264,52 @@ class FieldTower:
             pk = pk * self.p + c % self.p
         return pk
 
+    def _times_x(self, v: list[int]) -> list[int]:
+        """X v for a coefficient list v of length m."""
+        lead = v[-1]
+        out = [0] + v[:-1]
+        if lead:
+            out = [(c - lead * r) % self.p for c, r in zip(out, self.modulus)]
+        return out
+
+    def _point(self, b: int, j: int = 0) -> list[int]:
+        """The coefficients of n^j g^b, 0 <= b <= q, from the coordinates
+        of g^b (even m)."""
+        q1 = self._q - 1
+        x, y = self._xs[b], self._ys[b]
+        out = [0] * self.m if x is None else list(self._fexp[(x + j) % q1])
+        if y is not None:
+            yg = self._times_x(self._fexp[(y + j) % q1])
+            out = [(u + w) % self.p for u, w in zip(out, yg)]
+        return out
+
     def from_coeffs(self, coeffs: list[int]) -> FqElem:
         pk = self.pack(coeffs)
         if pk == 0:
             return None
-        e = self._dlog[pk]
-        assert e is not None
-        return e
+        if self.m % 2:
+            return self._dlog[pk]
+        # X^j = n^xs[j] + n^ys[j] g for j < m <= q + 1, so the coordinates
+        # of sum c_j X^j are the same F_p-combinations of theirs
+        return self._join(self._combine(coeffs, self._xs), self._combine(coeffs, self._ys))
+
+    def _combine(self, coeffs: list[int], logs: list[int | None]) -> int | None:
+        """log_n of sum c_j n^logs[j], where n^None is zero; None for a
+        zero sum."""
+        acc = [0] * self.m
+        for c, e in zip(coeffs, logs):
+            if c and e is not None:
+                acc = [u + c * w for u, w in zip(acc, self._fexp[e])]
+        return self._flog.get(self.pack(acc))
 
     def to_coeffs(self, a: FqElem) -> list[int]:
-        pk = 0 if a is None else self._exp[a]
-        out = []
-        for _ in range(self.m):
-            out.append(pk % self.p)
-            pk //= self.p
-        return out
+        if a is None:
+            return [0] * self.m
+        if self.m % 2:
+            pk = self._exp[a]
+            return [pk // self.p**i % self.p for i in range(self.m)]
+        j, b = divmod(a, self._q + 1)
+        return self._point(b, j)
 
     def from_prime(self, c: int) -> FqElem:
         return self._prime_exp[c % self.p]
@@ -227,9 +360,13 @@ class FieldTower:
             return b
         if b is None:
             return a
-        z = self._zech[(b - a) % self.order]
+        d = (b - a) % self.order
+        z = self._zech[d]
         if z is None:
-            return None
+            # 1 + g^d = 0; otherwise a memo miss of an even-degree tower
+            if d == self.neg_one_exp:
+                return None
+            z = self._zech[d] = self._zech_of(d)
         return (a + z) % self.order
 
     def sub(self, a: FqElem, b: FqElem) -> FqElem:

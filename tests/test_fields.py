@@ -8,7 +8,7 @@ import math
 import pytest
 
 from toric_correlator import build_tower, gfpoly
-from toric_correlator.fields import FieldTower
+from toric_correlator.fields import ConsistencyError, FieldTower
 
 
 @pytest.fixture(scope="module", params=[(3, 2), (5, 2), (7, 2), (3, 4)])
@@ -246,13 +246,39 @@ def reference_tables(p, m, modulus):
 
 
 def _assert_reference_tables(t):
-    want = reference_tables(t.p, t.m, t.modulus)
-    assert (t._exp, t._dlog, t._zech) == want
+    exp_table, dlog, zech = reference_tables(t.p, t.m, t.modulus)
+    if t.m % 2:
+        assert (t._exp, t._dlog, t._zech) == (exp_table, dlog, zech)
+        return
+    # an even-degree tower derives each Zech log on first use; g^0 + g^e
+    # reads zech(e), so this pass fills every memo entry but that of -1
+    assert [t.add(0, e) for e in range(t.order)] == zech
+    assert t._zech == zech
+    assert [t.add(0, e) for e in range(t.order)] == zech
+    for e, pk in enumerate(exp_table):
+        coeffs = t.to_coeffs(e)
+        assert t.pack(coeffs) == pk
+        assert t.from_coeffs(coeffs) == e
+    assert t.from_coeffs(t.to_coeffs(None)) is None
 
 
-@pytest.mark.parametrize("p, m", TOWER_DEGREES)
+# characteristic 2 has log(-1) = 0 in every subfield; no group is built
+# there, so these towers are checked here only
+@pytest.mark.parametrize("p, m", TOWER_DEGREES + [(2, 2), (2, 4), (2, 6)])
 def test_tables_match_reference(p, m):
     _assert_reference_tables(FieldTower(p, m))
+
+
+def test_coordinate_cross_check_catches_a_wrong_log_of_minus_one():
+    # in characteristic 2, -1 = 1 has log 0; taking it for (q - 1)/2, as in
+    # odd characteristic, gives wrong coordinates for g^2 onwards
+    class OddSign(FieldTower):
+        def _build_tables(self):
+            self.neg_one_exp = self.order // 2
+            super()._build_tables()
+
+    with pytest.raises(ConsistencyError, match="disagree"):
+        OddSign(2, 4)
 
 
 def test_pinned_tower_tables_match_reference():
@@ -268,11 +294,16 @@ def test_non_primitive_modulus_rejected():
         reference_tables(7, 2, [1, 0, 1])
     with pytest.raises(ValueError, match="not primitive"):
         FieldTower(7, 2, modulus=[1, 0, 1])
-    # the same on the table path (m >= 3): x^3 - 2 mod 7 is irreducible
+    # the same on the odd-degree walk: x^3 - 2 mod 7 is irreducible
     # and x has order 9, not 342
     assert gfpoly.is_irreducible([5, 0, 0, 1], 7)
     with pytest.raises(ValueError, match="not primitive"):
         FieldTower(7, 3, modulus=[5, 0, 0, 1])
+    # and in even degree above 2: x^4 + x^3 + x^2 + x + 1 is irreducible
+    # mod 3, and x has order 5, not 80
+    assert gfpoly.is_irreducible([1, 1, 1, 1, 1], 3)
+    with pytest.raises(ValueError, match="not primitive"):
+        FieldTower(3, 4, modulus=[1, 1, 1, 1, 1])
 
 
 def test_pinned_subfield_modulus():
