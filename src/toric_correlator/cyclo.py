@@ -16,8 +16,11 @@ The module also provides the reduction of a CycNum at a prime ideal above
 p, presented by a primitive k-th root of unity in a field tower; the
 image is a tower element, and the root's minimal polynomial is the
 irreducible factor of Phi_k mod p that names the prime. The factors of
-Phi_k mod p come from an independent route: Phi_k is split by binomials
-X^(k/r) - u, r = gcd(k, p - 1), and each piece by Cantor-Zassenhaus.
+Phi_k mod p come from an independent route: Phi_k is split through a
+proper subfield F_{p^j} of its residue field into the pieces
+gcd(Phi_k, m(X^(k/r))), r = gcd(k, p^j - 1) and m an irreducible factor
+of Phi_r mod p (for j = 1 the binomials X^(k/r) - u), and each piece by
+Cantor-Zassenhaus.
 """
 
 from __future__ import annotations
@@ -397,16 +400,23 @@ def factor_cyclotomic_mod_p(k: int, p: int, seed: int = 0) -> list[list[int]]:
     d = ord of p modulo k and the list has phi(k)/d entries. Deterministic
     for a fixed seed.
 
-    Phi_k is first split into the pieces gcd(Phi_k, X^(k/r) - u), with
-    r = gcd(k, p - 1) and one piece for each u in F_p of order exactly r
-    (_binomial_pieces), and each piece is factored by equal_degree_factor.
-    The split is exact: p does not divide k, so Phi_k is separable mod p
+    Phi_k is first split through a subfield F_{p^j}, j | d, into the
+    pieces gcd(Phi_k, m(X^(k/r))), r = gcd(k, p^j - 1), one for each
+    irreducible factor m of Phi_r mod p (_split_conductor picks j,
+    _subfield_pieces computes the pieces), and each piece is factored by
+    equal_degree_factor. For j = 1 every m is X - u, u in F_p of order r,
+    and the pieces are gcd(Phi_k, X^(k/r) - u); otherwise the factors of
+    Phi_r come from this function at the smaller conductor r.
+
+    The split is exact. p does not divide k, so Phi_k is separable mod p
     and its roots are the zeta of order k. Then zeta^(k/r) has order r,
-    and r | p - 1 puts it in F_p^*: every root lies in exactly one piece.
-    Each piece is Frobenius-stable, since zeta -> zeta^p fixes
-    zeta^(k/r) = u in F_p, so it is a product of irreducible factors of
-    Phi_k. And it has degree phi(k)/phi(r): the unit exponents a mod k
-    with a = b mod r, for a fixed unit b mod r, number phi(k)/phi(r).
+    and r | p^j - 1 puts it in F_{p^j}; it is a root of exactly one
+    irreducible factor m of Phi_r mod p, which is separable too. So every
+    root of Phi_k lies in exactly one piece. Each piece is a gcd of
+    polynomials over F_p, hence a product of irreducible factors of Phi_k.
+    And it has degree phi(k) deg(m)/phi(r): the roots of m are zeta_r^b for
+    deg(m) units b mod r, and the unit exponents a mod k with a = b mod r,
+    for a fixed unit b, number phi(k)/phi(r).
     """
     if p == 2:
         raise ValueError("p must be odd")
@@ -416,14 +426,17 @@ def factor_cyclotomic_mod_p(k: int, p: int, seed: int = 0) -> list[list[int]]:
     if key in _FACTOR_CACHE:
         return _FACTOR_CACHE[key]
     d = _residue_degree(k, p)
-    r = math.gcd(k, p - 1)
-    primes = gfpoly.factorint(r)
-    units = [
-        u for u in range(1, p)
-        if pow(u, r, p) == 1 and all(pow(u, r // s, p) != 1 for s in primes)
-    ]
+    r = _split_conductor(k, p)
+    if (p - 1) % r:
+        subfactors = factor_cyclotomic_mod_p(r, p, seed)
+    else:
+        primes = gfpoly.factorint(r)
+        subfactors = [
+            [p - u, 1] for u in range(1, p)
+            if pow(u, r, p) == 1 and all(pow(u, r // s, p) != 1 for s in primes)
+        ]
     factors = []
-    for piece in _binomial_pieces(CycRing.get(k, cap=None).phi_mod(p), k // r, units, p):
+    for piece in _subfield_pieces(CycRing.get(k, cap=None).phi_mod(p), k // r, subfactors, p):
         if gfpoly.degree(piece) == d:
             factors.append(piece)
         else:
@@ -433,25 +446,57 @@ def factor_cyclotomic_mod_p(k: int, p: int, seed: int = 0) -> list[list[int]]:
     return factors
 
 
-def _binomial_pieces(f: list[int], m: int, units: list[int], p: int) -> list[list[int]]:
-    """gcd(f, X^m - u) for each u in units, for monic f over F_p.
+def _split_conductor(k: int, p: int) -> int:
+    """r = gcd(k, p^j - 1) for the j | d, j < d, d = ord_k(p), that splits
+    Phi_k mod p into the most pieces, phi(r)/ord_r(p) of them; the least
+    such j on a tie. j = 1 also when d = 1, where r = k.
 
-    f mod X^m - u is one fold: X^m = u, so the coefficient blocks of
-    length m are summed by Horner in u from the top block down. Raises
-    ConsistencyError unless the pieces' degrees sum to deg f, the check
-    that the binomials split f completely.
+    j = d is excluded: then r = k and the pieces would be the factors
+    themselves.
     """
-    padded = f + [0] * (-len(f) % m)
-    blocks = [padded[i : i + m] for i in range(0, len(padded), m)]
+    d = _residue_degree(k, p)
+    best, most = 0, 0
+    for j in range(1, max(d, 2)):
+        if d % j == 0:
+            r = math.gcd(k, p**j - 1)
+            phi_r = math.prod((s - 1) * s ** (e - 1) for s, e in gfpoly.factorint(r).items())
+            count = phi_r // _residue_degree(r, p)
+            if count > most:
+                best, most = r, count
+    return best
+
+
+def _subfield_pieces(
+    f: list[int], s: int, subfactors: list[list[int]], p: int
+) -> list[list[int]]:
+    """gcd(f, m(X^s)) for each monic m in subfactors, for monic f over F_p.
+
+    f mod m(X^s) is one fold: with Y = X^s, the coefficient blocks of f of
+    length s are the coefficients of a polynomial in Y, which is reduced
+    mod m(Y) by Horner from the top block down, a row of s coefficients
+    per power of Y. For m = X - u this sums the blocks by Horner in u.
+    Raises ConsistencyError unless the pieces' degrees sum to deg f, the
+    check that the m(X^s) split f completely.
+    """
+    padded = f + [0] * (-len(f) % s)
+    blocks = [padded[i : i + s] for i in range(0, len(padded), s)]
     pieces = []
-    for u in units:
-        rem = [0] * m
+    for m in subfactors:
+        e = gfpoly.degree(m)
+        rem = [[0] * s for _ in range(e)]
         for block in reversed(blocks):
-            rem = [(c * u + b) % p for c, b in zip(rem, block)]
-        pieces.append(gfpoly.gcd([-u % p] + [0] * (m - 1) + [1], gfpoly.trim(rem), p))
+            # rem * Y + block, and Y^e = -(m_0 + m_1 Y + ... + m_(e-1) Y^(e-1))
+            top = rem[-1]
+            rem = [
+                [(x - c * t) % p for x, t in zip(row, top)] if c else row
+                for row, c in zip([block] + rem[:-1], m)
+            ]
+        lifted = [0] * (e * s + 1)
+        lifted[::s] = m
+        pieces.append(gfpoly.gcd(lifted, gfpoly.trim([c for row in rem for c in row]), p))
     if sum(map(gfpoly.degree, pieces)) != gfpoly.degree(f):
         raise ConsistencyError(
-            f"the pieces gcd(f, X^{m} - u) do not split f: degrees sum to "
+            f"the pieces gcd(f, m(X^{s})) do not split f: degrees sum to "
             f"{sum(map(gfpoly.degree, pieces))}, not {gfpoly.degree(f)}"
         )
     return pieces
@@ -479,9 +524,24 @@ class PrimeIdealHandle:
     separable; the roots of its factor Phi_k are then exactly the elements
     of order k. So factor is squarefree, F_p[X]/(factor) is a product of
     fields, and in each X is a root of Phi_k.
+
+    prime_handles alone skips that division (_listed=True), for factors it
+    has already found in the output of factor_cyclotomic_mod_p. Every entry
+    of that list divides Phi_k mod p: it is an output of
+    equal_degree_factor, which splits only by gcd and exact quotient, of
+    a piece gcd(Phi_k, m(X^s)), or is such a piece itself, and the pieces'
+    degrees are checked to sum to phi(k).
     """
 
-    def __init__(self, tower: FieldTower, k: int, a: int, factor: list[int] | None = None):
+    def __init__(
+        self,
+        tower: FieldTower,
+        k: int,
+        a: int,
+        factor: list[int] | None = None,
+        *,
+        _listed: bool = False,
+    ):
         if k < 1 or tower.order % k:
             raise ValueError(f"the tower holds no primitive {k}-th root of unity")
         if math.gcd(a, k) != 1:
@@ -503,34 +563,36 @@ class PrimeIdealHandle:
         self.factor = factor
         self.residue_degree = gfpoly.degree(factor)
         # independent of the tower tables (see the class docstring)
-        if gfpoly.mod(CycRing.get(k, cap=None).phi_mod(p), factor, p):
+        if not _listed and gfpoly.mod(CycRing.get(k, cap=None).phi_mod(p), factor, p):
             raise ConsistencyError("residue root's minimal polynomial does not divide Phi_k")
+
+    def zeta_image(self, k: int) -> int:
+        """The image root^(self.k / k) of zeta_k, for k | self.k, as a tower
+        element; reduce depends on the handle only through the image of
+        zeta_{z.k}."""
+        if self.k % k:
+            raise ValueError("value lies outside the handle's cyclotomic field")
+        return self.root * (self.k // k) % self.tower.order
 
     def reduce(self, z: CycNum) -> FqElem:
         """Image of z in the residue field, as an element of the tower.
 
-        zeta_{z.k} goes to root^(k / z.k), and the power-basis terms are
+        zeta_{z.k} goes to zeta_image(z.k), and the power-basis terms are
         summed with Zech additions. Fails if p divides a denominator of z
         (the value is not integral at this prime) or if z does not lie in
         Q(zeta_k).
         """
-        if self.k % z.k:
-            raise ValueError("value lies outside the handle's cyclotomic field")
+        step = self.zeta_image(z.k)
         t, p = self.tower, self.p
         # den is the lcm of the coordinates' reduced denominators
         if z.den % p == 0:
             raise ValueError("value is not integral at this prime")
         inv = pow(z.den, p - 2, p)
-        step = self.root * (self.k // z.k)
         acc: FqElem = None
         for i, c in enumerate(z.nums):
             if c:
                 acc = t.add(acc, t.mul(t.from_prime(c * inv), step * i))
         return acc
-
-    def reduce_to_int(self, z: CycNum) -> int:
-        """Reduction when the image lies in the prime field."""
-        return self.tower.to_prime(self.reduce(z))
 
     def __repr__(self) -> str:
         return f"PrimeIdealHandle(k={self.k}, p={self.p}, a={self.a}, factor={self.factor})"

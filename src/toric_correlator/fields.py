@@ -6,12 +6,12 @@ element is stored as its discrete log base g (an int in range(p^m - 1));
 zero is None. Multiplication is then index addition, and addition goes
 through the Zech logarithm zech(e) = dlog(1 + g^e).
 
-Every tower the library builds has even degree m = 2f: it is F_{q^2} over
-F_q, q = p^f, and n = g^(q+1) generates F_q^*. Such a tower keeps tables of
-about q entries (the logs base n of F_q, the coordinates over F_q of g^b
-for b <= q, and the logs of the lines n^t + g) and derives each Zech log
-from them on first use, in a memo list. Odd-degree towers keep full
-exp/dlog/Zech tables from a walk over all p^m - 1 powers of X.
+A tower has even degree m = 2f: it is F_{q^2} over F_q, q = p^f, and
+n = g^(q+1) generates F_q^*. It keeps tables of about q entries (the logs
+base n of F_q, the coordinates over F_q of g^b for b <= q, and the logs of
+the lines n^t + g) and derives each Zech log from them on first use, in a
+memo list. Odd degrees are rejected: PGL2(F_q) needs F_{q^2}, and every
+subfield it uses is read from that tower.
 
 Every subfield F_{p^d} with d | m is {0} plus the powers of
 g^((p^m-1)/(p^d-1)), so norms, traces, membership tests and subfield
@@ -47,22 +47,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _shift_row(p: int, lead: int, mods: list[int], low: int, start: int) -> list[int]:
-    """start + sum over j of ((a_j - lead * mods[j]) mod p) * p^(low + j),
-    for every a in range(p^len(mods)) with base-p digits a_j.
-
-    Each digit's term depends on that digit alone, so the row is built as
-    one outer sum per digit, from the top digit down: the last digit added
-    varies fastest, as a_0 does in a.
-    """
-    row = [start]
-    for j in range(len(mods) - 1, -1, -1):
-        w, c = p ** (low + j), lead * mods[j]
-        terms = [(a - c) % p * w for a in range(p)]
-        row = [x + y for x in row for y in terms]
-    return row
-
-
 class FieldTower:
     """F_{p^m} with Zech-log addition and subfield index arithmetic."""
 
@@ -75,8 +59,8 @@ class FieldTower:
     ):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
-        if m < 1:
-            raise ValueError("m must be positive")
+        if m < 1 or m % 2:
+            raise ValueError(f"m = {m}: a tower has positive even degree")
         size = p**m
         if size > table_cap:
             raise ValueError(f"field size {size} exceeds table cap {table_cap}")
@@ -93,19 +77,14 @@ class FieldTower:
                 raise ValueError("modulus must be monic of degree m")
             if not gfpoly.is_irreducible(modulus, p):
                 raise ValueError("modulus is reducible")
-            # the walk of an odd-degree tower checks this itself
-            if m % 2 == 0 and not gfpoly.element_order_check([0, 1], modulus, p, self.order):
+            if not gfpoly.element_order_check([0, 1], modulus, p, self.order):
                 raise ValueError("modulus is not primitive")
         self.modulus = modulus
         # exponent of -1; p = 2 never reaches the code that uses it
         self.neg_one_exp = self.order // 2 if p > 2 else 0
-        if m % 2:
-            self._build_walk_tables()
-            self._prime_exp: list[FqElem] = [None] + self._dlog[1:p]
-        else:
-            self._build_tables()
-            # F_p lies in F_q, and log_g c = (q + 1) log_n c
-            self._prime_exp = [None] + [(self._q + 1) * self._flog[c] for c in range(1, p)]
+        self._build_tables()
+        # F_p lies in F_q, and log_g c = (q + 1) log_n c
+        self._prime_exp = [None] + [(self._q + 1) * self._flog[c] for c in range(1, p)]
         self._prime_val = {
             e: c for c, e in enumerate(self._prime_exp) if e is not None
         }
@@ -207,55 +186,6 @@ class FieldTower:
             return ((q + 1) * y + 1) % self.order
         return ((q + 1) * y + self._pd[(x - y) % (q - 1)]) % self.order
 
-    def _build_walk_tables(self) -> None:
-        """exp[e] = g^e as its base-p packed coefficients, dlog the reverse map,
-        zech[e] = dlog(1 + g^e), for odd m.
-
-        A packed element is also its dlog index, so the walk through the
-        powers of X stays in packed ints: v -> X v shifts the digits up and
-        subtracts lead * modulus digitwise mod p. The low m - 1 digits split
-        into a low chunk of h = m // 2 digits and a high chunk of the rest,
-        and X v = TA[lead][low] + TB[v // p^h]: TA gives output digits 0..h
-        and TB digits h+1..m-1, so the two sums never carry into each other.
-        TA and TB have p^(h+1) and p^(m-h) entries, about p^ceil((m+1)/2).
-        """
-        p, m, order, mod = self.p, self.m, self.order, self.modulus
-        exp_table = [0] * order
-        v = 1
-        h = m // 2
-        ph, pb = p**h, p ** (m - 1 - h)
-        # digit i of X v is digit i of p v minus lead * mod[i]; TB's
-        # index is lead * pb plus the digits it shifts
-        ta = [_shift_row(p, lead, mod[1 : h + 1], 1, -lead * mod[0] % p) for lead in range(p)]
-        tb = [x for lead in range(p) for x in _shift_row(p, lead, mod[h + 1 : m], h + 1, 0)]
-        for e in range(order):
-            exp_table[e] = v
-            hi = v // ph
-            v = ta[hi // pb][v - hi * ph] + tb[hi]
-        # X^order = 1 and X^(order/r) != 1 for every prime r | order say X
-        # has order exactly p^m - 1, so its powers are distinct
-        if v != 1 or any(exp_table[order // r] == 1 for r in gfpoly.factorint(order)):
-            raise ValueError("modulus is not primitive")
-        dlog: list[int | None] = [None] * self.size
-        for e, v in enumerate(exp_table):
-            dlog[v] = e
-        # 1 + v adds one to the constant digit, and a constant digit p - 1
-        # wraps back to 0: it rotates each block of p consecutive packed
-        # values. Rotating dlog's blocks in place makes it read dlog(1 + v)
-        # at v; zech is read through exp, and dlog is rotated back. No
-        # field-sized copy is made, so peak memory stays that of the tables.
-        first = dlog[::p]
-        for c in range(p - 1):
-            dlog[c::p] = dlog[c + 1 :: p]
-        dlog[p - 1 :: p] = first
-        self._zech = list(map(dlog.__getitem__, exp_table))
-        last = dlog[p - 1 :: p]
-        for c in range(p - 1, 0, -1):
-            dlog[c::p] = dlog[c - 1 :: p]
-        dlog[::p] = last
-        self._exp = exp_table
-        self._dlog = dlog
-
     # -- encoding ---------------------------------------------------------
 
     def pack(self, coeffs: list[int]) -> int:
@@ -274,7 +204,7 @@ class FieldTower:
 
     def _point(self, b: int, j: int = 0) -> list[int]:
         """The coefficients of n^j g^b, 0 <= b <= q, from the coordinates
-        of g^b (even m)."""
+        of g^b."""
         q1 = self._q - 1
         x, y = self._xs[b], self._ys[b]
         out = [0] * self.m if x is None else list(self._fexp[(x + j) % q1])
@@ -287,8 +217,6 @@ class FieldTower:
         pk = self.pack(coeffs)
         if pk == 0:
             return None
-        if self.m % 2:
-            return self._dlog[pk]
         # X^j = n^xs[j] + n^ys[j] g for j < m <= q + 1, so the coordinates
         # of sum c_j X^j are the same F_p-combinations of theirs
         return self._join(self._combine(coeffs, self._xs), self._combine(coeffs, self._ys))
@@ -305,9 +233,6 @@ class FieldTower:
     def to_coeffs(self, a: FqElem) -> list[int]:
         if a is None:
             return [0] * self.m
-        if self.m % 2:
-            pk = self._exp[a]
-            return [pk // self.p**i % self.p for i in range(self.m)]
         j, b = divmod(a, self._q + 1)
         return self._point(b, j)
 
@@ -363,7 +288,7 @@ class FieldTower:
         d = (b - a) % self.order
         z = self._zech[d]
         if z is None:
-            # 1 + g^d = 0; otherwise a memo miss of an even-degree tower
+            # 1 + g^d = 0; otherwise a memo miss
             if d == self.neg_one_exp:
                 return None
             z = self._zech[d] = self._zech_of(d)

@@ -74,24 +74,29 @@ def prime_handles(g: PGL2, conductor: int, seed: int = 0) -> list[PrimeIdealHand
 
     The primes come from the group's tower: one handle per key of
     root_relabel_map, with that key's root exponent and the key itself as
-    its minimal polynomial, which the handle checks with one evaluation. The factors of
-    Phi_conductor mod p from factor_cyclotomic_mod_p are an independent
-    source, and the two lists must agree. The list is built and checked
-    once per group and conductor (`seed` only steers that first
-    factorization, whose sorted output does not depend on it); each call
-    returns a fresh copy.
+    its minimal polynomial, which the handle checks with one evaluation.
+    The factors of Phi_conductor mod p from factor_cyclotomic_mod_p are an
+    independent source, and the sorted keys must equal them before any
+    handle is built. Each of those factors divides Phi_conductor mod p by
+    construction (see PrimeIdealHandle), so the handles skip their own
+    division. The list is built and checked once per group and conductor
+    (`seed` only steers that first factorization, whose sorted output does
+    not depend on it); each call returns a fresh copy.
     """
     handles = g._handle_cache.get(conductor)
     if handles is None:
         relabel = root_relabel_map(g, conductor)
-        handles = [
-            PrimeIdealHandle(g.tower, conductor, relabel[key], list(key)) for key in sorted(relabel)
-        ]
-        if [h.factor for h in handles] != factor_cyclotomic_mod_p(conductor, g.p, seed):
+        keys = sorted(relabel)
+        factors = [list(key) for key in keys]
+        if factors != factor_cyclotomic_mod_p(conductor, g.p, seed):
             raise ConsistencyError(
                 f"the primes above {g.p} of Q(zeta_{conductor}) read from the tower "
                 "differ from the factors of the cyclotomic polynomial"
             )
+        handles = [
+            PrimeIdealHandle(g.tower, conductor, relabel[key], f, _listed=True)
+            for key, f in zip(keys, factors)
+        ]
         g._handle_cache[conductor] = handles
     return list(handles)
 
@@ -162,11 +167,23 @@ def digit_parameter(g: PGL2, rep: Label, handle: PrimeIdealHandle | None) -> int
         return 0
     if kind == "steta":
         return (g.q - 1) // 2
-    if kind == "ps":
-        return relabeled_r(g, rep, handle)
-    if kind == "cusp":
-        return relabeled_r(g, rep, handle) - 1
+    if kind in ("ps", "cusp"):
+        return _relabeled_digit(rep, relabeled_r(g, rep, handle))
     raise ValueError(f"{rep} has no digit parameter")
+
+
+def _relabeled_digit(rep: Label, rr: int) -> int:
+    """The digit parameter of a ps or cusp rep from its relabeled r."""
+    return rr - 1 if rep[0] == "cusp" else rr
+
+
+def _digit_prediction(g: PGL2, d: int) -> tuple[list[int], int]:
+    """(base-p digits of d, predicted residue), computed once per group and
+    d < q; callers copy the digits list before handing it out."""
+    out = g._digit_cache.get(d)
+    if out is None:
+        out = g._digit_cache[d] = (base_digits(d, g.p, g.f), predicted_residue(g, d))
+    return out
 
 
 def predicted_residue(g: PGL2, d: int) -> int:
@@ -248,29 +265,31 @@ def rep_report(
     entries = []
     if conductor == 1:
         d = digit_parameter(g, rep, None)
+        digits, pred = _digit_prediction(g, d)
         rat = value.as_rational()
         actual = None if rat is None else fraction_mod_p(rat, g.p)
-        pred = predicted_residue(g, d)
-        entries.append(
-            PrimeEntry(
-                None, 1, None, d, base_digits(d, g.p, g.f), pred, actual, actual == pred
-            )
-        )
+        entries.append(PrimeEntry(None, 1, None, d, list(digits), pred, actual, actual == pred))
     else:
         t = g.tower
+        # handles that send zeta_{value.k} to the same element reduce the
+        # value alike, so each image is reduced once
+        residues: dict[int, int | None] = {}
         for handle in prime_handles(g, conductor, seed):
             rr = relabeled_r(g, rep, handle)
-            d = digit_parameter(g, rep, handle)
-            pred = predicted_residue(g, d)
-            red = handle.reduce(value)
-            actual = t.to_prime(red) if t.in_subfield(1, red) else None
+            d = _relabeled_digit(rep, rr)
+            digits, pred = _digit_prediction(g, d)
+            image = handle.zeta_image(value.k)
+            if image not in residues:
+                red = handle.reduce(value)
+                residues[image] = t.to_prime(red) if t.in_subfield(1, red) else None
+            actual = residues[image]
             entries.append(
                 PrimeEntry(
                     list(handle.factor),
                     handle.a,
                     rr,
                     d,
-                    base_digits(d, g.p, g.f),
+                    list(digits),
                     pred,
                     actual,
                     actual == pred,

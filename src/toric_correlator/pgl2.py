@@ -110,6 +110,7 @@ class PGL2:
         self._const_cache: dict[Label, CycNum] = {}
         self._relabel_cache: dict[int, dict[tuple[int, ...], int]] = {}
         self._handle_cache: dict[int, list[PrimeIdealHandle]] = {}
+        self._digit_cache: dict[int, tuple[list[int], int]] = {}
 
     # -- classes ----------------------------------------------------------
 

@@ -20,7 +20,7 @@ from toric_correlator import (
     factor_cyclotomic_mod_p,
 )
 from toric_correlator import gfpoly
-from toric_correlator.cyclo import _binomial_pieces
+from toric_correlator.cyclo import _split_conductor, _subfield_pieces
 from toric_correlator.fields import ConsistencyError
 
 
@@ -483,23 +483,48 @@ def totient(n):
     return sum(1 for j in range(1, n + 1) if math.gcd(j, n) == 1)
 
 
+def residue_degree(k, p):
+    d = 1
+    while pow(p, d, k) != 1 % k:
+        d += 1
+    return d
+
+
+def best_split(k, p):
+    """Reference: (most pieces, least j giving them) over the j | d, j < d,
+    d = ord_k(p), or j = 1 when d = 1; j splits Phi_k mod p into
+    phi(r)/ord_r(p) pieces, r = gcd(k, p^j - 1)."""
+    d = residue_degree(k, p)
+    counts = []
+    for j in range(1, max(d, 2)):
+        if d % j == 0:
+            r = math.gcd(k, p**j - 1)
+            counts.append((totient(r) // residue_degree(r, p), -j))
+    most, neg_j = max(counts)
+    return most, -neg_j
+
+
 @pytest.mark.parametrize("p, f", [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
                          + [(3, 2), (5, 2), (3, 3)])
 def test_factorization_by_pieces_matches_plain_edf(p, f):
-    # every conductor k | q^2 - 1, q <= 31: p = 3 splits into r = 2 pieces
-    # only, and k | p - 1 gives linear pieces
+    # every conductor k | q^2 - 1, q <= 31: k | p - 1 gives linear pieces,
+    # and Phi_624 mod 5 and Phi_728 mod 3 split through F_25 and F_27
     q = p**f
     for k in (k for k in range(1, q * q) if (q * q - 1) % k == 0):
         phi = [c % p for c in cyclotomic_poly(k)]
-        d = 1
-        while pow(p, d, k) != 1 % k:
-            d += 1
+        d = residue_degree(k, p)
         plain = [phi] if len(phi) == d + 1 else gfpoly.equal_degree_factor(phi, d, p, seed=3)
         assert factor_cyclotomic_mod_p(k, p) == plain
-        r = math.gcd(k, p - 1)
-        pieces = _binomial_pieces(phi, k // r, units_of_order(r, p), p)
-        assert len(pieces) == totient(r)
-        assert all(gfpoly.degree(g) == totient(k) // totient(r) for g in pieces)
+        most, j = best_split(k, p)
+        r = _split_conductor(k, p)
+        assert r == math.gcd(k, p**j - 1)
+        subfactors = factor_cyclotomic_mod_p(r, p)
+        if j == 1:
+            assert subfactors == sorted([-u % p, 1] for u in units_of_order(r, p))
+        pieces = _subfield_pieces(phi, k // r, subfactors, p)
+        e = residue_degree(r, p)
+        assert len(pieces) == most == totient(r) // e
+        assert all(gfpoly.degree(g) == totient(k) * e // totient(r) for g in pieces)
 
 
 def test_binomial_pieces_reject_a_wrong_unit():
@@ -507,10 +532,32 @@ def test_binomial_pieces_reject_a_wrong_unit():
     p, k = 7, 24
     phi = [c % p for c in cyclotomic_poly(k)]
     assert units_of_order(6, p) == [3, 5]
-    assert sum(gfpoly.degree(g) for g in _binomial_pieces(phi, 4, [3, 5], p)) == 8
+    assert _split_conductor(k, p) == 6
+
+    def linear(units):
+        return [[-u % p, 1] for u in units]
+
+    assert sum(gfpoly.degree(g) for g in _subfield_pieces(phi, 4, linear([3, 5]), p)) == 8
     for wrong in ([3, 2], [3], [3, 5, 5]):
         with pytest.raises(ConsistencyError, match="do not split"):
-            _binomial_pieces(phi, 4, wrong, p)
+            _subfield_pieces(phi, 4, linear(wrong), p)
+
+
+def test_subfield_pieces_reject_a_wrong_factor():
+    # Phi_728 mod 3 splits through F_27: r = 26, and the four cubic factors
+    # of Phi_26 mod 3 give four pieces of degree 72
+    p, k = 3, 728
+    phi = [c % p for c in cyclotomic_poly(k)]
+    assert _split_conductor(k, p) == 26
+    cubics = factor_cyclotomic_mod_p(26, p)
+    assert [gfpoly.degree(g) for g in _subfield_pieces(phi, 28, cubics, p)] == [72] * 4
+    # a cubic factor of Phi_13 has roots of order 13, so X^28 = w gives no
+    # root of order 728 and its piece is 1
+    (other, *_) = factor_cyclotomic_mod_p(13, p)
+    assert gfpoly.degree(other) == 3 and other not in cubics
+    for wrong in (cubics[1:], cubics + cubics[:1], [other] + cubics[1:]):
+        with pytest.raises(ConsistencyError, match="do not split"):
+            _subfield_pieces(phi, 28, wrong, p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -538,13 +585,18 @@ def test_prime_ideal_reduction_is_homomorphism():
     assert h.reduce(CycNum.zeta(4)) == t.power(h.root, 2)
 
 
+def reduce_to_int(h, z):
+    """Reduction at the prime of h when the image lies in the prime field."""
+    return h.tower.to_prime(h.reduce(z))
+
+
 def test_prime_ideal_reduce_to_int():
     # rational values reduce to their residue mod p
     h = _handle_8_over_7()
-    assert h.reduce_to_int(CycNum.rational(Fraction(1, 2))) == pow(2, 7 - 2, 7) % 7
-    assert h.reduce_to_int(CycNum.rational(10)) == 3
+    assert reduce_to_int(h, CycNum.rational(Fraction(1, 2))) == pow(2, 7 - 2, 7) % 7
+    assert reduce_to_int(h, CycNum.rational(10)) == 3
     with pytest.raises(ValueError):
-        h.reduce_to_int(CycNum.zeta(8))  # residue degree 2
+        reduce_to_int(h, CycNum.zeta(8))  # residue degree 2
 
 
 def test_prime_ideal_rejects_bad_denominator():

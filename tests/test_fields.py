@@ -137,12 +137,31 @@ def _first_irreducible(p, m):
     raise ValueError("no irreducible polynomial found")
 
 
+def _minpoly_mod(c, f0, p, m):
+    """The minimal polynomial over F_p of the class of c in F_p[X]/(f0),
+    deg f0 = m, for c of degree m: the product of X - c^(p^i), i < m."""
+    conjugates = [c]
+    for _ in range(m - 1):
+        conjugates.append(gfpoly.powmod(conjugates[-1], p, f0, p))
+    coeffs = [[1]]
+    for c in conjugates:
+        nxt = [[] for _ in range(len(coeffs) + 1)]
+        mc = gfpoly.scale(c, p - 1, p)
+        for i, co in enumerate(coeffs):
+            nxt[i + 1] = gfpoly.add(nxt[i + 1], co, p)
+            nxt[i] = gfpoly.add(nxt[i], gfpoly.mod(gfpoly.mul(co, mc, p), f0, p), p)
+        coeffs = nxt
+    return [c[0] if c else 0 for c in coeffs]
+
+
 def canonical_modulus(p, m):
     """Reference: the least minimal polynomial of a primitive element.
 
-    A scratch copy of F_{p^m} is built from the first irreducible
-    polynomial, and the minimum is taken over one primitive element per
-    Frobenius orbit; this is the search towers used before the pruned scan.
+    F_{p^m} is presented by the first irreducible polynomial, and the
+    minimum is taken over one primitive element per Frobenius orbit; this
+    is the search towers used before the pruned scan. For even m the
+    minimal polynomials are read from a scratch tower; towers have even
+    degree, so for odd m they are products of conjugates in F_p[X]/(f0).
     """
     if m == 1:
         for c0 in range(1, p):
@@ -162,19 +181,11 @@ def canonical_modulus(p, m):
         if all(gfpoly.powmod(cand, order // r, f0, p) != [1] for r in fac):
             gen = cand
             break
-    # minimal polynomial of gen over F_p, with polynomial arithmetic
-    conjugates = [gen]
-    for _ in range(m - 1):
-        conjugates.append(gfpoly.powmod(conjugates[-1], p, f0, p))
-    coeffs = [[1]]
-    for c in conjugates:
-        nxt = [[] for _ in range(len(coeffs) + 1)]
-        mc = gfpoly.scale(c, p - 1, p)
-        for i, co in enumerate(coeffs):
-            nxt[i + 1] = gfpoly.add(nxt[i + 1], co, p)
-            nxt[i] = gfpoly.add(nxt[i], gfpoly.mod(gfpoly.mul(co, mc, p), f0, p), p)
-        coeffs = nxt
-    scratch = FieldTower(p, m, modulus=[c[0] if c else 0 for c in coeffs])
+    if m % 2:
+        def minpoly(e):
+            return _minpoly_mod(gfpoly.powmod(gen, e, f0, p), f0, p, m)
+    else:
+        minpoly = FieldTower(p, m, modulus=_minpoly_mod(gen, f0, p, m)).minpoly
     best = None
     for e in range(1, order):
         if math.gcd(e, order) != 1:
@@ -184,7 +195,7 @@ def canonical_modulus(p, m):
             t = t * p % order
         if t != e:
             continue  # not the least exponent of its Frobenius orbit
-        mp = scratch.minpoly(e)
+        mp = minpoly(e)
         if best is None or mp < best:
             best = mp
     return best
@@ -198,18 +209,18 @@ def test_canonical_modulus_deterministic():
 
 # (p, m) of every tower the tests and the benchmark workloads build: the
 # tower of PGL2(F_{p^f}) has degree 2f, and the prime-field tests cover
-# every odd prime up to 47
+# every odd prime up to 47. The modulus search also serves odd degrees.
 _PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 79]
 _PRIMES += [127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193]
 TOWER_DEGREES = sorted(
     {(p, 2) for p in _PRIMES}
     | {(3, 4), (5, 4), (7, 4), (11, 4), (13, 4), (17, 4), (19, 4)}
     | {(3, 6), (5, 6), (7, 6), (3, 8), (3, 10)}
-    | {(3, 1), (5, 1), (7, 1), (3, 3), (5, 3)}
 )
+MODULUS_DEGREES = sorted(TOWER_DEGREES + [(3, 1), (5, 1), (7, 1), (3, 3), (5, 3)])
 
 
-@pytest.mark.parametrize("p, m", TOWER_DEGREES)
+@pytest.mark.parametrize("p, m", MODULUS_DEGREES)
 def test_first_primitive_modulus_matches_reference(p, m):
     assert gfpoly.first_primitive_modulus(p, m) == canonical_modulus(p, m)
 
@@ -247,10 +258,7 @@ def reference_tables(p, m, modulus):
 
 def _assert_reference_tables(t):
     exp_table, dlog, zech = reference_tables(t.p, t.m, t.modulus)
-    if t.m % 2:
-        assert (t._exp, t._dlog, t._zech) == (exp_table, dlog, zech)
-        return
-    # an even-degree tower derives each Zech log on first use; g^0 + g^e
+    # a tower derives each Zech log on first use; g^0 + g^e
     # reads zech(e), so this pass fills every memo entry but that of -1
     assert [t.add(0, e) for e in range(t.order)] == zech
     assert t._zech == zech
@@ -294,16 +302,22 @@ def test_non_primitive_modulus_rejected():
         reference_tables(7, 2, [1, 0, 1])
     with pytest.raises(ValueError, match="not primitive"):
         FieldTower(7, 2, modulus=[1, 0, 1])
-    # the same on the odd-degree walk: x^3 - 2 mod 7 is irreducible
-    # and x has order 9, not 342
-    assert gfpoly.is_irreducible([5, 0, 0, 1], 7)
-    with pytest.raises(ValueError, match="not primitive"):
-        FieldTower(7, 3, modulus=[5, 0, 0, 1])
     # and in even degree above 2: x^4 + x^3 + x^2 + x + 1 is irreducible
     # mod 3, and x has order 5, not 80
     assert gfpoly.is_irreducible([1, 1, 1, 1, 1], 3)
     with pytest.raises(ValueError, match="not primitive"):
         FieldTower(3, 4, modulus=[1, 1, 1, 1, 1])
+
+
+def test_odd_degree_tower_rejected():
+    # PGL2(F_q) builds F_{q^2}; odd degrees fail before any table is built
+    for p, m in ((3, 1), (7, 1), (3, 3), (5, 3)):
+        with pytest.raises(ValueError, match="positive even degree"):
+            FieldTower(p, m)
+    with pytest.raises(ValueError, match="positive even degree"):
+        FieldTower(7, 3, modulus=[5, 0, 0, 1])
+    with pytest.raises(ValueError, match="positive even degree"):
+        build_tower(3, 3)
 
 
 def test_pinned_subfield_modulus():

@@ -24,6 +24,7 @@ from toric_correlator import (
 )
 from toric_correlator.modp import (
     base_digits,
+    digit_parameter,
     distinguished_handle,
     fraction_mod_p,
     lucas_binom,
@@ -218,6 +219,18 @@ def test_relabel_map_matches_per_unit_brute_force(p, f, pin, listed, distinguish
         assert list(got.items()) == list(brute_relabel_map(g, k).items())
 
 
+@pytest.mark.parametrize("p, f, pin, listed, distinguished", HANDLE_CASES)
+def test_listed_factors_divide_phi(p, f, pin, listed, distinguished):
+    # prime_handles builds its handles without dividing Phi_k by each
+    # factor; the division, as the other constructions still run it, is
+    # the reference
+    g = PGL2(p, f, chi_modulus=None if pin is None else list(pin))
+    for k in listed:
+        phi = [c % p for c in cyclotomic_poly(k)]
+        for h in prime_handles(g, k):
+            assert gfpoly.mod(phi, h.factor, p) == []
+
+
 def test_prime_handles_cross_check_factorization(monkeypatch):
     import toric_correlator.modp as modp
 
@@ -226,12 +239,24 @@ def test_prime_handles_cross_check_factorization(monkeypatch):
     factors = real(k, 7)
     altered = [list(f) for f in factors]
     altered[0][0] = (altered[0][0] + 1) % 7
+    built = []
+
+    class CountingHandle(PrimeIdealHandle):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(modp, "PrimeIdealHandle", CountingHandle)
     for wrong in (factors[1:], altered, factors[::-1]):
         monkeypatch.setattr(modp, "factor_cyclotomic_mod_p", lambda *a, w=wrong: w)
+        g = PGL2(7, 1)
         with pytest.raises(ConsistencyError):
-            prime_handles(PGL2(7, 1), k)
+            prime_handles(g, k)
+        # the lists are compared before any handle is built or cached
+        assert built == [] and g._handle_cache == {}
     monkeypatch.setattr(modp, "factor_cyclotomic_mod_p", real)
     assert [h.factor for h in prime_handles(PGL2(7, 1), k)] == factors
+    assert len(built) == len(factors)
 
 
 def test_prime_handles_memo_is_per_group():
@@ -290,6 +315,39 @@ def test_sweep_covers_multiplicity_one_reps(g9):
     for r in reports:
         assert r.all_match()
         assert r.vanishing_consistent
+
+
+# every odd q <= 31
+SWEEP_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1),
+                (23, 1), (5, 2), (3, 3), (29, 1), (31, 1)]
+
+
+@pytest.mark.parametrize("p, f", SWEEP_FIELDS)
+def test_sweep_entries_match_uncached(p, f):
+    # rep_report keeps one (digits, predicted) per group and digit
+    # parameter, and reduces a value once per image of its root of unity;
+    # the uncached relabeling, digits, prediction and per-handle reduction
+    # are the reference, and every entry owns its digits list
+    g = PGL2(p, f)
+    t = g.tower
+    reports = sweep(g)
+    digit_lists = []
+    for rpt in reports:
+        handles = [None] if rpt.conductor == 1 else prime_handles(g, rpt.conductor)
+        assert len(handles) == len(rpt.entries)
+        for h, e in zip(handles, rpt.entries):
+            assert e.d == digit_parameter(g, rpt.rep, h)
+            assert e.r_relabeled == (None if h is None else relabeled_r(g, rpt.rep, h))
+            assert e.digits == base_digits(e.d, p, f)
+            assert e.predicted == predicted_residue(g, e.d)
+            if h is not None:
+                red = h.reduce(rpt.value)
+                assert e.actual == (t.to_prime(red) if t.in_subfield(1, red) else None)
+            digit_lists.append(e.digits)
+    assert len({id(x) for x in digit_lists}) == len(digit_lists)
+    cached = {id(digits) for digits, _ in g._digit_cache.values()}
+    assert not cached & {id(x) for x in digit_lists}
+    assert set(g._digit_cache) == {e.d for rpt in reports for e in rpt.entries}
 
 
 def test_report_json_shape(g5):
