@@ -23,24 +23,14 @@ so that only O(q) of them are classified one by one), and
 PGL2.torus_classes, the class multisets of the trace-zero products
 h k_0 and h_0 k. Per representation only the
 character values are summed against these class counts, by
-PGL2.class_sum or by a family kernel, and the constant
+PGL2.family_sum (the principal and cuspidal series, on the family_terms
+of the pair counts, also memoized) or PGL2.class_sum, and the constant
 itself is memoized on the group too, so correlate_all, regular_identity,
 the mod-p reports, the base-change reports and the CLI all share one
 value per representation. An explicit counts argument bypasses that memo
-in both directions.
-
-The two large families are summed by kernel rather than class by class:
-ps r reads only the split-class counts, at the exponents +-r e (q + 1),
-and cusp r only the elliptic-class counts, at -+r j (q - 1). These are
-powers of a root of unity of order q - 1, resp. q + 1, so each kernel
-fills one integer vector at its own conductor, at most q - 1, resp.
-q + 1, and reduces it once over the denominator q^2 - 1; nothing is
-built at conductor q^2 - 1. The four one-dimensional and Steinberg-type
-representations keep the generic class_sum over char_counter, which
-stays the test reference for the kernels. The regular identity embeds
-every memoized constant, times q^2 - 1, at conductor q^2 - 1 into one
-integer counter and reduces it once, so it checks exactly the values
-that correlate_all reports.
+in both directions. The regular identity embeds every memoized constant,
+times q^2 - 1, at conductor q^2 - 1 into one integer counter and reduces
+it once, so it checks exactly the values that correlate_all reports.
 
 The memos replace repeated work, not any of the three sign routes: each
 average is still taken over its own torus and compared with the closed
@@ -51,7 +41,6 @@ disagree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,68 +115,26 @@ def _classify_pairs(g: PGL2) -> dict[Label, int]:
 def corr_constant(g: PGL2, rep: Label, counts: dict[Label, int] | None = None) -> CycNum:
     """The correlation constant c(rep), exact.
 
-    Memoized on the group. An explicit counts dict is summed as given, and
-    its value is neither read from nor written to the memo.
+    Memoized on the group, with the family_terms of the pair counts. An
+    explicit counts dict is summed as given, and its value is neither read
+    from nor written to the memo.
     """
     g.check_rep(rep)
     if counts is not None:
-        return _constant(g, rep, counts, _kernel_terms(g, counts))
+        return _constant(g, rep, counts, g.family_terms(counts))
     val = g._const_cache.get(rep)
     if val is None:
-        if g._kernel_terms is None:
-            g._kernel_terms = _kernel_terms(g, pair_class_counts(g))
-        val = g._const_cache[rep] = _constant(g, rep, g._pair_counts, g._kernel_terms)
+        if g._pair_terms is None:
+            g._pair_terms = g.family_terms(pair_class_counts(g))
+        val = g._const_cache[rep] = _constant(g, rep, g._pair_counts, g._pair_terms)
     return val
 
 
 def _constant(g: PGL2, rep: Label, counts: dict[Label, int], terms: dict) -> CycNum:
     kk = g.q**2 - 1
     if rep[0] in ("ps", "cusp"):
-        d, vec = _kernel_vector(g, rep, terms)
-        return CycNum._from_vector(d, vec, kk)
-    return CycNum.from_counter(kk, g.class_sum(rep, counts)) / kk
-
-
-def _kernel_terms(g: PGL2, counts: dict[Label, int]) -> dict[str, tuple[int, list]]:
-    """What the family kernels read of the class counts: for "ps" and
-    "cusp", the integer id and unip term and the signed (class index,
-    count) pairs of the split, resp. elliptic, classes."""
-    q = g.q
-    n_id = counts.get(("id",), 0)
-    n_unip = counts.get(("unip",), 0)
-    ps: list[tuple[int, int]] = []
-    cusp: list[tuple[int, int]] = []
-    for cls, n in counts.items():
-        if n and cls[0] == "split":
-            ps.append((cls[1], n))
-        elif n and cls[0] == "ell":
-            cusp.append((cls[1], -n))
-    return {"ps": ((q + 1) * n_id + n_unip, ps), "cusp": ((q - 1) * n_id - n_unip, cusp)}
-
-
-def _kernel_vector(g: PGL2, rep: Label, terms: dict) -> tuple[int, list[int]]:
-    """The family kernel of ps r or cusp r: (d, vec) with (q^2 - 1) c(rep)
-    = sum of vec[i] zeta_d^i, from the _kernel_terms of the class counts.
-
-    ps r is zeta^(+-r e (q+1)) on split class e and vanishes on elliptic
-    classes; cusp r is -zeta^(+-r j (q-1)) on elliptic class j (the pair
-    of an eigenvalue dlog q + 1 - j) and vanishes on split classes. With
-    m = q - 1 (ps) or q + 1 (cusp), zeta^((q^2 - 1)/m) is a primitive m-th
-    root of unity, and its r-th power is zeta_d^(r/h) for h = gcd(r, m) and
-    d = m/h, so the sum lives at conductor d from the start.
-    """
-    kind, r = rep
-    base, pairs = terms[kind]
-    m = g.q - 1 if kind == "ps" else g.q + 1
-    h = math.gcd(r, m)
-    d, step = m // h, r // h
-    vec = [0] * d
-    vec[0] = base
-    for e, n in pairs:
-        i = e * step % d
-        vec[i] += n
-        vec[-i] += n  # the exponent -i mod d; i = 0 lands twice on vec[0]
-    return d, vec
+        return g.family_sum(rep[0], rep[1], terms, den=kk)
+    return g.class_sum(rep, counts) / kk
 
 
 def epsilon_closed(g: PGL2, rep: Label) -> int | None:
@@ -213,7 +160,7 @@ def _sign_average(g: PGL2, rep: Label, which: str) -> int:
     so no division is needed.
     """
     classes = g.torus_classes(which)
-    total = CycNum.from_counter(g.q**2 - 1, g.class_sum(rep, classes)).as_rational()
+    total = g.class_sum(rep, classes).as_rational()
     n = sum(classes.values())
     if total is None or total not in (n, -n):
         avg = None if total is None else total / n

@@ -231,8 +231,8 @@ class CycNum:
     def _from_vector(k: int, vec: list[int], den: int = 1) -> "CycNum":
         """Sum of vec[e] * zeta_k^e / den over e < k, conductor-reduced.
 
-        conj and the family kernels of the correlation constants start
-        here; the gcd of k with the support picks the conductor.
+        conj and PGL2.family_sum, the ps and cusp class-weighted sums,
+        start here; the gcd of k with the support picks the conductor.
         """
         g = math.gcd(k, *itertools.compress(range(k), vec))
         return CycNum._reduce(k // g, vec[::g], den)

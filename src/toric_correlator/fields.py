@@ -213,29 +213,6 @@ class FieldTower:
             out = [(u + w) % self.p for u, w in zip(out, yg)]
         return out
 
-    def from_coeffs(self, coeffs: list[int]) -> FqElem:
-        pk = self.pack(coeffs)
-        if pk == 0:
-            return None
-        # X^j = n^xs[j] + n^ys[j] g for j < m <= q + 1, so the coordinates
-        # of sum c_j X^j are the same F_p-combinations of theirs
-        return self._join(self._combine(coeffs, self._xs), self._combine(coeffs, self._ys))
-
-    def _combine(self, coeffs: list[int], logs: list[int | None]) -> int | None:
-        """log_n of sum c_j n^logs[j], where n^None is zero; None for a
-        zero sum."""
-        acc = [0] * self.m
-        for c, e in zip(coeffs, logs):
-            if c and e is not None:
-                acc = [u + c * w for u, w in zip(acc, self._fexp[e])]
-        return self._flog.get(self.pack(acc))
-
-    def to_coeffs(self, a: FqElem) -> list[int]:
-        if a is None:
-            return [0] * self.m
-        j, b = divmod(a, self._q + 1)
-        return self._point(b, j)
-
     def from_prime(self, c: int) -> FqElem:
         return self._prime_exp[c % self.p]
 

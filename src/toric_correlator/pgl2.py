@@ -12,12 +12,24 @@ tuple labels:
 and irreducible characters likewise: ("triv",), ("eta",), ("st",),
 ("steta",), ("ps", r) for r in 1..(q-3)/2, ("cusp", r) for r in
 1..(q-1)/2. Character values are kept as exponent counters modulo
-q^2 - 1 (dicts exp -> int), so a class-weighted sum (class_sum) is
-accumulated in integers and reduced once. orthogonality_check sums the
-rows of the two large families by kernel: each product of two ps rows (or
-two cusp rows) is two values of one kernel, a class-size-weighted sum of
-roots of unity over the split (or elliptic) classes reduced once per
-argument, plus integer id and unip terms.
+q^2 - 1 (dicts exp -> int).
+
+class_sum is the class-weighted character sum over a class multiset
+{cls: n}. For the two large families it is written once, in family_sum:
+ps s reads only the split classes, at the exponents +-s e (q + 1), and
+cusp s only the elliptic ones, at -+s j (q - 1), plus integer id and unip
+terms. These are powers of a root of unity of order m = q - 1, resp.
+q + 1, whose s-th power is zeta_d^(s/h) for h = gcd(s, m) and d = m/h,
+so each sum fills one integer vector at conductor d and reduces it once,
+with any denominator passed into that reduction; nothing is built at
+conductor q^2 - 1. family_terms splits a multiset once, so every rep
+summed over it shares the split. The form holds for any integer s, label
+or not. The four rational reps keep the char_counter sum and one
+from_counter reduction, and the char_counter sum stays the test
+reference for the family form. orthogonality_check sums the rows of the
+two large families by the same form: each product of two ps rows (or two
+cusp rows) is two family sums over the class sizes plus integer id and
+unip terms.
 
 H is the split torus {diag(a, 1)} and K the non-split torus, realized as
 multiplication by 1 + z*sqrt(alpha) on the plane with basis {1,
@@ -31,7 +43,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 
 from .cyclo import CycNum, PrimeIdealHandle
 from .fields import ConsistencyError, FieldTower, FqElem, build_tower
@@ -106,7 +117,7 @@ class PGL2:
         self._value_cache: dict[tuple[Label, Label], CycNum] = {}
         self._torus_classes: dict[str, dict[Label, int]] = {}
         self._pair_counts: dict[Label, int] | None = None
-        self._kernel_terms: dict[str, tuple[int, list]] | None = None
+        self._pair_terms: dict[str, tuple[int, list]] | None = None
         self._const_cache: dict[Label, CycNum] = {}
         self._relabel_cache: dict[int, dict[tuple[int, ...], int]] = {}
         self._handle_cache: dict[int, list[PrimeIdealHandle]] = {}
@@ -305,23 +316,59 @@ class PGL2:
             out = self._torus_classes[which] = Counter(map(self.classify, mats))
         return out
 
-    def class_sum(self, rep: Label, classes: dict[Label, int]) -> dict[int, int]:
-        """Sum of n * chi_rep(cls) over a class multiset {cls: n}, as an
-        exponent counter modulo q^2 - 1."""
+    def family_terms(self, classes: dict[Label, int]) -> dict[str, tuple[int, list]]:
+        """What family_sum reads of a class multiset: for "ps" and "cusp",
+        the integer id and unip term and the signed (e or j, count) pairs
+        of the split, resp. elliptic, classes."""
+        q = self.q
+        n_id = classes.get(("id",), 0)
+        n_unip = classes.get(("unip",), 0)
+        ps: list[tuple[int, int]] = []
+        cusp: list[tuple[int, int]] = []
+        for cls, n in classes.items():
+            if n and cls[0] == "split":
+                ps.append((cls[1], n))
+            elif n and cls[0] == "ell":
+                cusp.append((cls[1], -n))
+        return {"ps": ((q + 1) * n_id + n_unip, ps), "cusp": ((q - 1) * n_id - n_unip, cusp)}
+
+    def family_sum(self, kind: str, s: int, terms: dict, den: int = 1) -> CycNum:
+        """Sum of n * chi(cls) / den over a multiset, for chi the "ps" or
+        "cusp" character formula at any integer s, from its family_terms.
+
+        Cusp j is the pair of an eigenvalue dlog q + 1 - j, and the sign
+        of +-s j is immaterial, so both families index by e or j directly.
+        """
+        base, pairs = terms[kind]
+        m = self.q - 1 if kind == "ps" else self.q + 1
+        h = math.gcd(s, m)
+        d, step = m // h, s // h
+        vec = [0] * d
+        vec[0] = base
+        for e, n in pairs:
+            i = e * step % d
+            vec[i] += n
+            vec[-i] += n  # the exponent -i mod d; i = 0 lands twice on vec[0]
+        return CycNum._from_vector(d, vec, den)
+
+    def class_sum(self, rep: Label, classes: dict[Label, int]) -> CycNum:
+        """Sum of n * chi_rep(cls) over a class multiset {cls: n}."""
+        self.check_rep(rep)
+        if rep[0] in ("ps", "cusp"):
+            return self.family_sum(rep[0], rep[1], self.family_terms(classes))
         total: dict[int, int] = {}
         for cls, n in classes.items():
             if n:
                 for e, c in self.char_counter(rep, cls).items():
                     total[e] = total.get(e, 0) + n * c
-        return total
+        return CycNum.from_counter(self.q**2 - 1, total)
 
     def invariant_dims(self, rep: Label) -> tuple[int, int]:
         """(dim of H-fixed vectors, dim of K-fixed vectors) in rep."""
-        kk = self.q**2 - 1
         dims = []
         for torus in ("H", "K"):
             classes = self.torus_classes(torus)
-            val = CycNum.from_counter(kk, self.class_sum(rep, classes)).as_rational()
+            val = self.class_sum(rep, classes).as_rational()
             if val is None:
                 raise ConsistencyError("torus character sum is irrational")
             n = sum(classes.values())
@@ -347,25 +394,27 @@ class PGL2:
             B(s) = sum over split e of |split e| (w^(s e) + w^(-s e))
 
         for s modulo q - 1, and C(s) the same sum over the elliptic classes
-        j with zeta^(q-1) for w, for s modulo q + 1. On split class e, ps r
-        is w^(r e) + w^(-r e), so chi_r1 conj(chi_r2) there is the four
-        terms w^(+-(r1 - r2) e) + w^(+-(r1 + r2) e), which summed over e
-        with the class sizes give B(r1 - r2) + B(r1 + r2). On elliptic
-        class j, cusp r is -(zeta^(r j (q-1)) + zeta^(-r j (q-1))); the two
-        minus signs cancel and the same regrouping gives C(r1 - r2) +
-        C(r1 + r2). ps vanishes on the elliptic classes and cusp on the
-        split ones, so a ps-ps or cusp-cusp product is the integer id and
-        unip terms plus two kernel values, and a ps-cusp product is the id
-        and unip terms alone. This regrouping only reorders the exponent
-        multiset of the class-by-class sum, and reduction is additive, so
-        each value is exactly the class-by-class row sum, provided the
-        table holds these family values. So the check first compares every
-        ps and cusp entry with its family value and requires integer
-        entries on id and unip. The kernels read the class sizes, so a
-        wrong size still shows in the row sums. The four small reps keep
-        the class-by-class product. Each kernel value is reduced once (B(s)
-        = B(-s), C(s) = C(-s)), so the check does O(q^2) dict work and O(q)
-        reductions instead of one reduction per pair of reps.
+        j with zeta^(q-1) for w, for s modulo q + 1: B(s) is the family_sum
+        of ps s over the split class sizes, and C(s) minus that of cusp s
+        over the elliptic ones. On split class e, ps r is w^(r e) +
+        w^(-r e), so chi_r1 conj(chi_r2) there is the four terms
+        w^(+-(r1 - r2) e) + w^(+-(r1 + r2) e), which summed over e with the
+        class sizes give B(r1 - r2) + B(r1 + r2). On elliptic class j, cusp
+        r is -(zeta^(r j (q-1)) + zeta^(-r j (q-1))); the two minus signs
+        cancel and the same regrouping gives C(r1 - r2) + C(r1 + r2). ps
+        vanishes on the elliptic classes and cusp on the split ones, so a
+        ps-ps or cusp-cusp product is the integer id and unip terms plus
+        two kernel values, and a ps-cusp product is the id and unip terms
+        alone. This regrouping only reorders the exponent multiset of the
+        class-by-class sum, and reduction is additive, so each value is
+        exactly the class-by-class row sum, provided the table holds these
+        family values. So the check first compares every ps and cusp entry
+        with its family value and requires integer entries on id and unip.
+        The kernels read the class sizes, so a wrong size still shows in
+        the row sums. The four small reps keep the class-by-class product.
+        Each kernel value is reduced once (B(s) = B(-s), C(s) = C(-s)), so
+        the check does O(q^2) dict work and O(q) reductions instead of one
+        reduction per pair of reps.
 
         Raises ConsistencyError on any failure; a passing run certifies the
         table (and hence every correlation computed from it) as the
@@ -397,27 +446,23 @@ class PGL2:
                     raise ConsistencyError(f"{rep} on {cls} is not its family value")
         end_sizes = [sizes[j] for j in ends]
         at_ends = {rep: [rows[rep][j].get(0, 0) for j in ends] for rep in reps}
-        kernels: dict[tuple[str, int], CycNum | int | Fraction] = {}
+        terms = self.family_terms({c: n for c, n in zip(self.classes, sizes) if c[0] in step})
+        kernels: dict[tuple[str, int], CycNum | int] = {}
 
-        def kernel(fam: str, s: int) -> CycNum | int | Fraction:
-            """B(s) or C(s), as a number when it is rational."""
-            m = kk // step[fam]  # B is periodic mod q - 1, C mod q + 1
+        def kernel(kind: str, s: int) -> CycNum | int:
+            """B(s) for "ps", C(s) for "cusp", as an int when it is rational
+            (a rational sum of roots of unity with integer weights is an
+            integer, and int sums are far cheaper)."""
+            m = q - 1 if kind == "ps" else q + 1
             s = min(s % m, -s % m)  # B(s) = B(-s), C(s) = C(-s)
-            val = kernels.get((fam, s))
+            val = kernels.get((kind, s))
             if val is None:
-                total: dict[int, int] = {}
-                for cls, n in zip(self.classes, sizes):
-                    if cls[0] == fam:
-                        for ex, c in _pm_counter(s * cls[1] * step[fam], kk, 1).items():
-                            total[ex] = total.get(ex, 0) + n * c
-                val = CycNum.from_counter(kk, total)
+                val = self.family_sum(kind, s, terms)
                 rat = val.as_rational()
                 if rat is not None:
-                    # a rational sum of roots of unity with integer weights
-                    # is an integer, and int sums are far cheaper than Fractions
-                    val = rat.numerator if rat.denominator == 1 else rat
-                kernels[(fam, s)] = val
-            return val
+                    val = rat.numerator
+                kernels[(kind, s)] = val if kind == "ps" else -val
+            return kernels[(kind, s)]
 
         for i, r1 in enumerate(reps):
             row1 = rows[r1]
@@ -428,8 +473,7 @@ class PGL2:
                 else:
                     val = sum(n * a * b for n, a, b in zip(end_sizes, at_ends[r1], at_ends[r2]))
                     if r1[0] == r2[0]:
-                        fam = home[r1[0]]
-                        val += kernel(fam, r1[1] - r2[1]) + kernel(fam, r1[1] + r2[1])
+                        val += kernel(r1[0], r1[1] - r2[1]) + kernel(r1[0], r1[1] + r2[1])
                 want = self.order if r1 == r2 else 0
                 if val != want:
                     raise ConsistencyError(f"row orthogonality fails at {r1}, {r2}")

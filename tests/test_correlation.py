@@ -16,8 +16,6 @@ from toric_correlator import (
     tensor_identity,
 )
 from toric_correlator.correlation import (
-    _kernel_terms,
-    _kernel_vector,
     epsilon_h_average,
     epsilon_k_average,
     unipotent_pair_report,
@@ -25,7 +23,7 @@ from toric_correlator.correlation import (
 from toric_correlator.fields import ConsistencyError
 from toric_correlator.pgl2 import mat_mul
 
-from test_pgl2 import ODD_Q_TO_49
+from test_pgl2 import ODD_Q_TO_49, move_one_count, moved_value_reps
 
 
 def reference_corr_constant(g, rep, counts=None):
@@ -198,6 +196,19 @@ def test_sign_averages_match_per_element_sum(p, f):
         assert epsilon_k_average(g, rep) == _brute_sign_average(g, rep, h0k)
 
 
+@pytest.mark.parametrize("p, f", [(5, 1), (7, 1), (3, 2), (13, 1), (5, 2)])
+@pytest.mark.parametrize("which", ["hk0", "h0k"])
+@pytest.mark.parametrize("family", ["split", "ell"])
+def test_sign_averages_see_a_moved_class_count(p, f, which, family):
+    # the sign averages read the family form of the class multiset, so one
+    # count moved within the family must still fail the three-way check
+    g = PGL2(p, f)
+    kind, m, e, x = move_one_count(g, which, family)
+    for rep in moved_value_reps(g, kind, m, e, x):
+        with pytest.raises(ConsistencyError):
+            epsilon(g, rep)
+
+
 def test_rep_value_independent_of_counts_argument(g5):
     counts = pair_class_counts(g5)
     for rep in (("steta",), ("cusp", 1)):
@@ -239,20 +250,25 @@ def test_family_kernels_match_char_counter_reference(p, f):
 
 @pytest.mark.parametrize("p, f", [(7, 1), (3, 2), (5, 2), (7, 2)])
 def test_shifted_kernel_exponent_disagrees_with_reference(p, f):
-    # moving one class's mass to the neighbouring exponent of its family
-    # must change the value, so the reference comparison has teeth
+    # moving one class's mass to the nearest class of its family whose
+    # exponent +-r e differs must change the value, so the reference
+    # comparison has teeth
     g = PGL2(p, f)
     counts = pair_class_counts(g)
     kk = g.q**2 - 1
+    terms = g.family_terms(counts)
     for rep in g.reps():
         if rep[0] not in ("ps", "cusp"):
             continue
-        d, vec = _kernel_vector(g, rep, _kernel_terms(g, counts))
-        assert CycNum.from_counter(d, dict(enumerate(vec))) / kk == corr_constant(g, rep)
-        ex = next(i for i, c in enumerate(vec) if i and c)
-        vec[(ex + 1) % d] += vec[ex]
-        vec[ex] = 0
-        bad = CycNum.from_counter(d, dict(enumerate(vec))) / kk
+        kind, r = rep
+        assert g.family_sum(kind, r, terms, den=kk) == corr_constant(g, rep)
+        base, pairs = terms[kind]
+        (e, n), rest = pairs[0], pairs[1:]
+        m = g.q - 1 if kind == "ps" else g.q + 1  # classes 1..m/2
+        near = sorted(range(1, m // 2 + 1), key=lambda x: abs(x - e))
+        moved = next(x for x in near if r * (x - e) % m and r * (x + e) % m)
+        shifted = {**terms, kind: (base, [(moved, n), *rest])}
+        bad = g.family_sum(kind, r, shifted, den=kk)
         assert bad != reference_corr_constant(g, rep, counts)
 
 
@@ -281,7 +297,7 @@ def test_explicit_counts_bypass_the_memo():
     fresh = PGL2(7, 1)
     corr_constant(fresh, rep, pair_class_counts(fresh))
     assert fresh._const_cache == {}
-    assert fresh._kernel_terms is None
+    assert fresh._pair_terms is None
 
 
 def test_regular_identity_checks_the_memoized_constants():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from toric_correlator import CycNum, PGL2
+from toric_correlator.correlation import pair_class_counts
 from toric_correlator.fields import ConsistencyError
 from toric_correlator.pgl2 import mat_det, mat_mul
 
@@ -334,6 +335,76 @@ def test_invariant_dims_match_per_element_loop(p, f):
     g = PGL2(p, f)
     for rep in g.reps():
         assert g.invariant_dims(rep) == _invariant_dims_per_element(g, rep)
+
+
+def move_one_count(g, which, family):
+    """Move one count of the memo g.torus_classes(which) from its lowest
+    class of the family to the neighbouring class. Returns the family's
+    rep kind, m = q -+ 1 and the (from, to) indices."""
+    ms = g.torus_classes(which)
+    src = min(c for c in ms if c[0] == family and ms[c])
+    dst = (family, src[1] - 1 if src[1] > 1 else src[1] + 1)
+    ms[src] -= 1
+    ms[dst] += 1
+    kind, m = ("ps", g.q - 1) if family == "split" else ("cusp", g.q + 1)
+    return kind, m, src[1], dst[1]
+
+
+def moved_value_reps(g, kind, m, e, x):
+    """The reps of the family whose character differs on classes e and x:
+    r e and r x differ up to sign mod m."""
+    reps = [rep for rep in g.reps() if rep[0] == kind and rep[1] * (x - e) % m and rep[1] * (x + e) % m]
+    assert (kind, 1) in reps
+    return reps
+
+
+@pytest.mark.parametrize("p, f", [(5, 1), (7, 1), (3, 2), (13, 1), (5, 2)])
+@pytest.mark.parametrize("which, family", [("H", "split"), ("K", "ell")])
+def test_invariant_dims_see_a_moved_class_count(p, f, which, family):
+    # the family reps are summed by family_sum, which reads the class
+    # multiset, so one count moved within the family must still show
+    g = PGL2(p, f)
+    kind, m, e, x = move_one_count(g, which, family)
+    for rep in moved_value_reps(g, kind, m, e, x):
+        with pytest.raises(ConsistencyError):
+            g.invariant_dims(rep)
+
+
+def _char_counter_sum(g, rep, ms):
+    """Reference: sum of n * chi_rep(cls) over ms, class by class through
+    char_counter, reduced at conductor q^2 - 1."""
+    total = {}
+    for cls, n in ms.items():
+        for e, c in g.char_counter(rep, cls).items():
+            total[e] = total.get(e, 0) + n * c
+    return CycNum.from_counter(g.q**2 - 1, total)
+
+
+@pytest.mark.parametrize("p, f", ODD_Q_TO_49)
+def test_family_sum_matches_char_counter_sum(p, f, monkeypatch):
+    g = PGL2(p, f)
+    multisets = [pair_class_counts(g)]
+    multisets += [g.torus_classes(which) for which in ("H", "K", "hk0", "h0k")]
+    multisets.append({c: n for c, n in g.class_size.items() if c[0] in ("split", "ell")})
+    kk = g.q**2 - 1
+    for ms in multisets:
+        for rep in g.reps():
+            want = _char_counter_sum(g, rep, ms)
+            got = g.class_sum(rep, ms)
+            assert got == want and got.k == want.k
+    # char_counter's ps and cusp formulas hold at every integer s; only the
+    # label check keeps s in 1..(q-3)/2, resp. 1..(q-1)/2. Orthogonality
+    # reads the family sums at s = r1 +- r2, which include 0, (q -+ 1)/2
+    # and negative s.
+    monkeypatch.setattr(g, "check_rep", lambda rep: None)
+    for ms in multisets:
+        terms = g.family_terms(ms)
+        for kind, m in (("ps", g.q - 1), ("cusp", g.q + 1)):
+            for s in range(-m, m):
+                want = _char_counter_sum(g, (kind, s), ms)
+                got = g.family_sum(kind, s, terms)
+                assert got == want and got.k == want.k
+                assert g.family_sum(kind, s, terms, den=kk) == want / kk
 
 
 def test_invariant_dims_multiplicity_one(g7, g9):
