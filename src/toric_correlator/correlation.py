@@ -160,7 +160,7 @@ def _sign_average(g: PGL2, rep: Label, which: str) -> int:
     so no division is needed.
     """
     classes = g.torus_classes(which)
-    total = g.class_sum(rep, classes).as_rational()
+    total = g.torus_sum(rep, which).as_rational()
     n = sum(classes.values())
     if total is None or total not in (n, -n):
         avg = None if total is None else total / n

@@ -35,6 +35,9 @@ from .fields import ConsistencyError, FieldTower, FqElem
 
 _PHI_CACHE: dict[int, list[int]] = {}
 _FACTOR_CACHE: dict[tuple[int, int, int], list[list[int]]] = {}
+# conductor k -> {e: exp(2 pi i e / k)}, the floats CycNum.to_complex has
+# summed so far
+_ROOTS: dict[int, dict[int, complex]] = {}
 
 DEFAULT_CONDUCTOR_CAP = 200_000
 
@@ -359,11 +362,15 @@ class CycNum:
         return None
 
     def to_complex(self) -> complex:
+        roots = _ROOTS.setdefault(self.k, {})
         total = 0j
         for i, c in enumerate(self.nums):
             if c:
-                ang = 2.0 * math.pi * i / self.k
-                total += (c / self.den) * complex(math.cos(ang), math.sin(ang))
+                root = roots.get(i)
+                if root is None:
+                    ang = 2.0 * math.pi * i / self.k
+                    root = roots[i] = complex(math.cos(ang), math.sin(ang))
+                total += (c / self.den) * root
         return total
 
     def to_json_dict(self) -> dict:

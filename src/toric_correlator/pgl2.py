@@ -23,20 +23,22 @@ q + 1, whose s-th power is zeta_d^(s/h) for h = gcd(s, m) and d = m/h,
 so each sum fills one integer vector at conductor d and reduces it once,
 with any denominator passed into that reduction; nothing is built at
 conductor q^2 - 1. family_terms splits a multiset once, so every rep
-summed over it shares the split. The form holds for any integer s, label
-or not. The four rational reps keep the char_counter sum and one
-from_counter reduction, and the char_counter sum stays the test
-reference for the family form. orthogonality_check sums the rows of the
-two large families by the same form: each product of two ps rows (or two
-cusp rows) is two family sums over the class sizes plus integer id and
-unip terms.
+summed over it shares the split; torus_sum keeps that split per torus
+multiset on the group. The form holds for any integer s, label or not.
+The four rational reps keep the char_counter sum and one from_counter
+reduction, and the char_counter sum stays the test reference for the
+family form. orthogonality_check sums every row product that meets a
+large family by the same form: a product of two ps rows (or two cusp
+rows) is two family sums over the class sizes plus integer id and unip
+terms, and a small row times a family row, the small rep being +-1 or
++-(-1)^x on the torus classes, is one such sum.
 
 H is the split torus {diag(a, 1)} and K the non-split torus, realized as
 multiplication by 1 + z*sqrt(alpha) on the plane with basis {1,
 sqrt(alpha)} for the first nonsquare alpha whose torus generator
 k_alpha = [[1, alpha], [1, 1]] has projective order exactly q + 1. The
 class multisets of H, K, {h k_0} and {h_0 k} are memoized per group by
-torus_classes.
+torus_classes, and their family_terms by torus_sum.
 """
 
 from __future__ import annotations
@@ -69,6 +71,16 @@ def _row_product(kk: int, sizes: list[int], row1: list, row2: list) -> CycNum:
                 ex = (e1 - e2) % kk
                 total[ex] = total.get(ex, 0) + sz * a * b
     return CycNum.from_counter(kk, total)
+
+
+def _sign_form(row: list, at: list[tuple[int, int]], rep: Label, fam: str) -> tuple[int, int]:
+    """The (s, t), s = +-1 and t in {0, 1}, with row[i] = {0: s (-1)^(t x)}
+    at every (index i, class parameter x) in at; raise if there is none."""
+    for t in (0, 1):
+        for s in (1, -1):
+            if all(row[i] == {0: s * (-1) ** (t * x)} for i, x in at):
+                return s, t
+    raise ConsistencyError(f"small row {rep} is not +-1 or +-(-1)^x on the {fam} classes")
 
 
 def mat_mul(t: FieldTower, x: Mat, y: Mat) -> Mat:
@@ -116,6 +128,7 @@ class PGL2:
         # per-group memo state, freed with the group
         self._value_cache: dict[tuple[Label, Label], CycNum] = {}
         self._torus_classes: dict[str, dict[Label, int]] = {}
+        self._torus_terms: dict[str, dict[str, tuple[int, list]]] = {}
         self._pair_counts: dict[Label, int] | None = None
         self._pair_terms: dict[str, tuple[int, list]] | None = None
         self._const_cache: dict[Label, CycNum] = {}
@@ -363,12 +376,24 @@ class PGL2:
                     total[e] = total.get(e, 0) + n * c
         return CycNum.from_counter(self.q**2 - 1, total)
 
+    def torus_sum(self, rep: Label, which: str) -> CycNum:
+        """class_sum of rep over torus_classes(which). The family_terms of
+        each multiset are memoized per group on first use, so each torus
+        is split once for all the ps and cusp reps."""
+        self.check_rep(rep)
+        if rep[0] not in ("ps", "cusp"):
+            return self.class_sum(rep, self.torus_classes(which))
+        terms = self._torus_terms.get(which)
+        if terms is None:
+            terms = self._torus_terms[which] = self.family_terms(self.torus_classes(which))
+        return self.family_sum(rep[0], rep[1], terms)
+
     def invariant_dims(self, rep: Label) -> tuple[int, int]:
         """(dim of H-fixed vectors, dim of K-fixed vectors) in rep."""
         dims = []
         for torus in ("H", "K"):
             classes = self.torus_classes(torus)
-            val = self.class_sum(rep, classes).as_rational()
+            val = self.torus_sum(rep, torus).as_rational()
             if val is None:
                 raise ConsistencyError("torus character sum is irrational")
             n = sum(classes.values())
@@ -385,40 +410,62 @@ class PGL2:
         square X this makes D X* / |G| a right inverse of X, hence a
         two-sided inverse, so (D X* / |G|) X = I, that is X* X = |G| D^-1:
         column orthogonality. The check therefore requires the table to be
-        square and then runs the row sums only.
-
-        The two large families are summed by kernel. With zeta a primitive
-        (q^2 - 1)-th root of unity, write w for zeta^(q+1), a primitive
-        (q-1)-th root of unity, and put
-
-            B(s) = sum over split e of |split e| (w^(s e) + w^(-s e))
-
-        for s modulo q - 1, and C(s) the same sum over the elliptic classes
-        j with zeta^(q-1) for w, for s modulo q + 1: B(s) is the family_sum
-        of ps s over the split class sizes, and C(s) minus that of cusp s
-        over the elliptic ones. On split class e, ps r is w^(r e) +
-        w^(-r e), so chi_r1 conj(chi_r2) there is the four terms
-        w^(+-(r1 - r2) e) + w^(+-(r1 + r2) e), which summed over e with the
-        class sizes give B(r1 - r2) + B(r1 + r2). On elliptic class j, cusp
-        r is -(zeta^(r j (q-1)) + zeta^(-r j (q-1))); the two minus signs
-        cancel and the same regrouping gives C(r1 - r2) + C(r1 + r2). ps
-        vanishes on the elliptic classes and cusp on the split ones, so a
-        ps-ps or cusp-cusp product is the integer id and unip terms plus
-        two kernel values, and a ps-cusp product is the id and unip terms
-        alone. This regrouping only reorders the exponent multiset of the
-        class-by-class sum, and reduction is additive, so each value is
-        exactly the class-by-class row sum, provided the table holds these
-        family values. So the check first compares every ps and cusp entry
-        with its family value and requires integer entries on id and unip.
-        The kernels read the class sizes, so a wrong size still shows in
-        the row sums. The four small reps keep the class-by-class product.
-        Each kernel value is reduced once (B(s) = B(-s), C(s) = C(-s)), so
-        the check does O(q^2) dict work and O(q) reductions instead of one
-        reduction per pair of reps.
+        square and then runs the row sums only, as _row_products gives
+        them.
 
         Raises ConsistencyError on any failure; a passing run certifies the
         table (and hence every correlation computed from it) as the
         character table of a group of this order.
+        """
+        for r1, r2, val in self._row_products():
+            if val != (self.order if r1 == r2 else 0):
+                raise ConsistencyError(f"row orthogonality fails at {r1}, {r2}")
+
+    def _row_products(self):
+        """Yield (r1, r2, sum over classes of |cls| chi_r1 conj chi_r2)
+        for every pair of reps r1 <= r2 in reps() order, after checking
+        the preconditions of the kernel form below.
+
+        Every row product that meets a large family is summed by kernel.
+        With zeta a primitive (q^2 - 1)-th root of unity, write w for
+        zeta^(q+1), a primitive (q-1)-th root of unity, and put
+
+            B(s) = sum over split e of |split e| (w^(s e) + w^(-s e))
+
+        for s modulo q - 1, and C(s) the same sum over the elliptic classes
+        j with v = zeta^(q-1) for w, for s modulo q + 1: B(s) is the
+        family_sum of ps s over the split class sizes, and C(s) minus that
+        of cusp s over the elliptic ones. On split class e, ps r is
+        w^(r e) + w^(-r e), so chi_r1 conj(chi_r2) there is the four terms
+        w^(+-(r1 - r2) e) + w^(+-(r1 + r2) e), which summed over e with the
+        class sizes give B(r1 - r2) + B(r1 + r2). On elliptic class j, cusp
+        r is -(v^(r j) + v^(-r j)); the two minus signs cancel and the same
+        regrouping gives C(r1 - r2) + C(r1 + r2). ps vanishes on the
+        elliptic classes and cusp on the split ones, so a ps-ps or
+        cusp-cusp product is the integer id and unip terms plus two kernel
+        values, and a ps-cusp product is the id and unip terms alone.
+
+        The four small reps (triv, eta, st, steta) are s (-1)^(t x) on the
+        split classes x = e and on the elliptic classes x = j, for a sign
+        s = +-1 and a parity t in {0, 1} per rep and family. Since w has
+        order q - 1, (-1)^e = w^(e (q-1)/2), so on split class e the small
+        rep times ps r is s (w^((r + t (q-1)/2) e) + w^(-(r + t (q-1)/2) e)),
+        and summed with the class sizes that is s B(r + t (q-1)/2); on the
+        elliptic classes (-1)^j = v^(j (q+1)/2) likewise gives
+        -s C(r + t (q+1)/2) against cusp r. A small-family product is
+        therefore the id and unip terms plus one kernel value.
+
+        Each regrouping only reorders the exponent multiset of the
+        class-by-class sum, and reduction is additive, so each value is
+        exactly the class-by-class row sum, provided the table has these
+        forms. So the family values of every ps and cusp entry, the sign
+        forms of the four small rows, and integer entries on id and unip
+        are all checked first, in O(classes) per row. The kernels read the
+        class sizes, so a wrong size still shows in the row sums. Only the
+        10 small-small pairs keep the class-by-class _row_product. Each
+        kernel value is reduced once (B(s) = B(-s), C(s) = C(-s)), so the
+        products cost O(q^2) integer work and O(q) reductions instead of
+        one reduction per pair of reps.
         """
         q = self.q
         kk = q * q - 1
@@ -430,12 +477,22 @@ class PGL2:
         ends = [self.class_index[("id",)], self.class_index[("unip",)]]
         home = {"ps": "split", "cusp": "ell"}
         step = {"split": q + 1, "ell": q - 1}  # dlog of the family's root
-        # the precondition of the kernels: family values off id and unip
+        at = {fam: [(i, c[1]) for i, c in enumerate(self.classes) if c[0] == fam] for fam in step}
+        # the preconditions of the kernels: integer entries on id and unip,
+        # family values of ps and cusp, sign forms of the small rows
+        forms: dict[Label, dict[str, tuple[int, int]]] = {}
         for rep in reps:
+            row = rows[rep]
             if rep[0] not in home:
+                for i in ends:
+                    if not row[i].keys() <= {0}:
+                        raise ConsistencyError(
+                            f"small row {rep} on {self.classes[i]} is not an integer"
+                        )
+                forms[rep] = {fam: _sign_form(row, at[fam], rep, fam) for fam in step}
                 continue
             fam, sign = home[rep[0]], 1 if rep[0] == "ps" else -1
-            for i, (cls, got) in enumerate(zip(self.classes, rows[rep])):
+            for i, (cls, got) in enumerate(zip(self.classes, row)):
                 if i in ends:
                     ok = got.keys() <= {0}
                 elif cls[0] == fam:
@@ -465,18 +522,20 @@ class PGL2:
             return kernels[(kind, s)]
 
         for i, r1 in enumerate(reps):
-            row1 = rows[r1]
             for r2 in reps[i:]:
-                row2 = rows[r2]
-                if r1[0] not in home or r2[0] not in home:
-                    val = _row_product(kk, sizes, row1, row2)
-                else:
-                    val = sum(n * a * b for n, a, b in zip(end_sizes, at_ends[r1], at_ends[r2]))
-                    if r1[0] == r2[0]:
-                        val += kernel(r1[0], r1[1] - r2[1]) + kernel(r1[0], r1[1] + r2[1])
-                want = self.order if r1 == r2 else 0
-                if val != want:
-                    raise ConsistencyError(f"row orthogonality fails at {r1}, {r2}")
+                small = [r for r in (r1, r2) if r[0] not in home]
+                if len(small) == 2:
+                    yield r1, r2, _row_product(kk, sizes, rows[r1], rows[r2])
+                    continue
+                val = sum(n * a * b for n, a, b in zip(end_sizes, at_ends[r1], at_ends[r2]))
+                if small:
+                    (kind, r), = [x for x in (r1, r2) if x[0] in home]
+                    s, t = forms[small[0]][home[kind]]
+                    m = q - 1 if kind == "ps" else q + 1
+                    val += (s if kind == "ps" else -s) * kernel(kind, r + t * m // 2)
+                elif r1[0] == r2[0]:
+                    val += kernel(r1[0], r1[1] - r2[1]) + kernel(r1[0], r1[1] + r2[1])
+                yield r1, r2, val
 
     def describe(self) -> dict:
         return {

@@ -33,11 +33,18 @@ unitary, to satisfy T^ext = 1, to fix v_H, and to send v_K to the
 conjugate-torus vector for alpha^sigma (scaled by -chi(1/alpha) in the
 cusp case). Every entry of Ttilde is 0 or a root of unity, so its q + 2
 columns are tabulated once per operator as key -> zeta exponent, and all
-four checks read that table. check_all checks intertwining on every basis
-column and generator first. The generators include the translations u_b
-for an F_p-basis b of E, and sigma^ext fixes E, so Ttilde^ext and the Gram
-matrix Ttilde* Ttilde commute with every translation: T^ext = 1 and
-unitarity are then checked from the columns at inf and 0 alone.
+four checks read that table. Each column is built in one pass over lists
+made once per operator (the elements lam of the finite keys and their
+negatives, the sigma-keys, and the exponents of w by subfield dlog), so
+an entry costs one field addition and one list lookup. Intertwining reads
+the columns as lists indexed by basis position, with None for a zero
+entry, and inverts each twisted generator once into (source position,
+shift) per position, so each (generator, key) test compares two lists.
+check_all checks intertwining first, on every basis column and every
+generator. The generators include the translations u_b for an F_p-basis
+b of E, and sigma^ext fixes E, so Ttilde^ext and the Gram matrix
+Ttilde* Ttilde commute with every translation: T^ext = 1 and unitarity
+are then checked from the columns at inf and 0 alone.
 
 The operator acts on the induced model of ps_model.py, the one PsModel
 uses: the keys, the monomial generator tables and the vectors v_H and
@@ -65,8 +72,6 @@ from .ps_model import (
     InducedModel,
     MonoMap,
     MVec,
-    _merge,
-    act,
     cvec_equal,
     inner_counter,
     model_sum,
@@ -137,6 +142,10 @@ class ShintaniOperator:
 
     Every entry of Ttilde is 0 or a root of unity, so its q + 2 columns are
     tabulated once, as key -> zeta exponent, and every check reads them.
+    A column costs one pass over lists kept for the whole table: one field
+    addition lam + (-mu) and one lookup of the w exponent per entry.
+    intertwining_check reads the same columns as position-indexed lists
+    and checks every basis key against every generator.
     """
 
     def __init__(self, g: PGL2, q_base: int, j: int):
@@ -175,28 +184,37 @@ class ShintaniOperator:
         if self.bc.kind == "split":
             return {key: {self.sigma_key(key): 0} for key in m.basis_keys()}
         g = self.g
-        t = g.tower
+        add = g.tower.add
+        cof = g.cof
         # chi(-(lam - mu)^2) depends on lam - mu alone: it is the exponent
-        # that w gives the key of lam - mu, so the q^2 entries cost one
-        # subtraction each
+        # that w gives the key of lam - mu, listed by subfield dlog, so each
+        # of the q^2 entries is one addition lam + (-mu) and one lookup
         w = m.w()
+        wexp = [w[key][1] for key in range(self.kk)]
         lams = m.finite_keys()
+        elems = [m.lam_of(key) for key in lams]
+        negs = [g.tower.neg(lam) for lam in elems]
+        skeys = [self.sigma_key(key) for key in lams]
         cols = {INF_KEY: dict.fromkeys(lams, 0)}
-        for key in lams:
-            lam = m.lam_of(key)
+        for i, (key, lam) in enumerate(zip(lams, elems)):
             col = {INF_KEY: 0}
-            for mu_key in lams:
-                if mu_key != key:
-                    diff = t.sub(lam, m.lam_of(mu_key))
-                    col[self.sigma_key(mu_key)] = w[g.sub_dlog(diff)][1]
+            col.update(zip(
+                skeys[:i] + skeys[i + 1:],
+                [wexp[add(lam, nm) // cof] for nm in negs[:i] + negs[i + 1:]],
+            ))
             cols[key] = col
         return cols
 
     def t_tilde(self, vec: CVec) -> CVec:
+        kk = self.kk
         out: CVec = {}
         for key, ctr in vec.items():
+            terms = list(ctr.items())
             for k, e in self.columns[key].items():
-                _merge(out.setdefault(k, {}), ctr, e, 1, self.kk)
+                dst = out.setdefault(k, {})
+                for e0, c in terms:
+                    x = (e0 + e) % kk
+                    dst[x] = dst.get(x, 0) + c
         return {k: v for k, v in out.items() if any(v.values())}
 
     # -- invariant checks ---------------------------------------------------
@@ -223,16 +241,36 @@ class ShintaniOperator:
         raise on failure.
 
         Each side is one root of unity per key, and zeta^a = zeta^b only
-        for a = b mod Q - 1, so comparing the key -> exponent tables is
-        exact.
+        for a = b mod Q - 1, so comparing exponents is exact. The columns
+        are read as lists indexed by basis position, None for a zero
+        entry. pi(g) e_key = zeta^shift e_nk makes the left side column nk
+        shifted by shift; each twisted generator is inverted once into
+        (source position, shift) per target position, which gives the
+        right side as one pass over column key.
         """
         kk = self.kk
-        cols = self.columns
+        keys = self.model.basis_keys()
+        pos = {key: i for i, key in enumerate(keys)}
+        cols = {}
+        for key, col in self.columns.items():
+            if not col.keys() <= pos.keys():
+                raise ConsistencyError(f"column {key} has a key outside the basis")
+            cols[key] = [col.get(k) for k in keys]
         for gen, gen_s in self._generators():
-            for key in self.model.basis_keys():
+            inv: list = [None] * len(keys)
+            for k, (nk, shift) in gen_s.items():
+                inv[pos[nk]] = (pos[k], shift)
+            if None in inv:
+                raise ConsistencyError("a twisted generator is not a permutation")
+            for key in keys:
                 nk, shift = gen[key]
-                lhs = {k: (e + shift) % kk for k, e in cols[nk].items()}
-                if lhs != act(gen_s, cols[key], kk):
+                col = cols[key]
+                lhs = [e if e is None else (e + shift) % kk for e in cols[nk]]
+                rhs = [
+                    e if (e := col[i]) is None else (e + sh) % kk
+                    for i, sh in inv
+                ]
+                if lhs != rhs:
                     raise ConsistencyError(
                         f"intertwining fails at basis key {key}"
                     )

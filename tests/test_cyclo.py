@@ -448,6 +448,31 @@ def test_json_dict_shape():
     assert abs(d["approx"]["re"] - math.cos(math.pi / 4) / 2) < 1e-12
 
 
+def reference_to_complex(z):
+    """cos and sin evaluated for every nonzero coordinate, summed in order."""
+    total = 0j
+    for i, c in enumerate(z.nums):
+        if c:
+            ang = 2.0 * math.pi * i / z.k
+            total += (c / z.den) * complex(math.cos(ang), math.sin(ang))
+    return total
+
+
+def test_to_complex_matches_per_coordinate_loop_exactly():
+    from toric_correlator import PGL2, correlate_all
+
+    values = [CycNum.rational(0), CycNum.rational(Fraction(-7, 3)), CycNum.zeta(8) / 2]
+    values += [(CycNum.zeta(k, 1) + CycNum.zeta(k, 3) * 5) / 7 for k in (5, 12, 15, 48, 120)]
+    for p, f in [(13, 1), (3, 3), (7, 2)]:
+        values += [rec.value for rec in correlate_all(PGL2(p, f))]
+    for z in values:
+        # exact float equality, twice: once filling the root cache, once from it
+        want = reference_to_complex(z)
+        assert z.to_complex() == want
+        assert z.to_complex() == want
+        assert z.to_json_dict()["approx"] == {"re": want.real, "im": want.imag}
+
+
 def test_factor_cyclotomic_mod_p_structure():
     for k, p in ((8, 7), (12, 7), (48, 7), (24, 5)):
         factors = factor_cyclotomic_mod_p(k, p)

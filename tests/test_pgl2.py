@@ -7,7 +7,7 @@ import pytest
 from toric_correlator import CycNum, PGL2
 from toric_correlator.correlation import pair_class_counts
 from toric_correlator.fields import ConsistencyError
-from toric_correlator.pgl2 import mat_det, mat_mul
+from toric_correlator.pgl2 import _row_product, mat_det, mat_mul
 
 
 def _mat_inv(t, x):
@@ -211,9 +211,11 @@ def _perturb_entry(g, rep0, cls0, ex=0):
 
 
 def test_orthogonality_check_rejects_a_perturbed_table():
+    # st on split 1 becomes 2, which no sign form +-1 or +-(-1)^x allows,
+    # so the small-row precondition trips before any row sum
     g = PGL2(5, 1)
     _perturb_entry(g, ("st",), ("split", 1))
-    with pytest.raises(ConsistencyError, match="row orthogonality"):
+    with pytest.raises(ConsistencyError, match="small row"):
         g.orthogonality_check()
     with pytest.raises(ConsistencyError, match="column orthogonality"):
         column_orthogonality(g)
@@ -277,6 +279,85 @@ def test_orthogonality_check_rejects_a_moved_class_size(p, f, family):
         row_orthogonality(g)
 
 
+SMALL_REPS = [("triv",), ("eta",), ("st",), ("steta",)]
+
+
+def _move_sizes(g):
+    """Class sizes no longer those of the group, with the same split and
+    elliptic classes: every small-family row product then reads them."""
+    g.class_size = dict(g.class_size)
+    for cls in g.classes:
+        if cls[0] in ("split", "ell"):
+            g.class_size[cls] += cls[1] * (2 if cls[0] == "split" else 3)
+
+
+@pytest.mark.parametrize("p, f", ODD_Q_TO_49)
+@pytest.mark.parametrize("moved", [False, True])
+def test_small_family_products_match_row_product(p, f, moved):
+    # each small x ps/cusp product is integer id/unip terms plus one kernel
+    # value; the class-by-class _row_product stays its reference, on the
+    # group's class sizes (every product 0) and on moved ones (not 0)
+    g = PGL2(p, f)
+    if moved:
+        _move_sizes(g)
+    kk = g.q**2 - 1
+    sizes = [g.class_size[c] for c in g.classes]
+    rows = {rep: [g.char_counter(rep, c) for c in g.classes] for rep in g.reps()}
+    seen = nonzero = 0
+    for r1, r2, val in g._row_products():
+        if (r1 in SMALL_REPS) != (r2 in SMALL_REPS):
+            want = _row_product(kk, sizes, rows[r1], rows[r2])
+            assert val == want, (r1, r2)
+            seen += 1
+            nonzero += bool(want)
+    assert seen == 4 * (len(g.reps()) - 4)
+    assert bool(nonzero) == moved
+
+
+@pytest.mark.parametrize("p, f", [(11, 1), (5, 2)])
+@pytest.mark.parametrize("rep", SMALL_REPS)
+@pytest.mark.parametrize("cls", [("split", 3), ("ell", 1), ("ell", 4)])
+@pytest.mark.parametrize("edit", ["plus one", "irrational", "negated"])
+def test_orthogonality_check_rejects_a_wrong_small_entry(p, f, rep, cls, edit):
+    g = PGL2(p, f)
+    real = g.char_counter
+
+    def counter(r, c):
+        out = dict(real(r, c))
+        if (r, c) == (rep, cls):
+            if edit == "negated":
+                out = {e: -n for e, n in out.items()}
+            else:
+                ex = 0 if edit == "plus one" else g.q + 1
+                out[ex] = out.get(ex, 0) + 1
+        return out
+
+    g.char_counter = counter
+    with pytest.raises(ConsistencyError, match="small row"):
+        g.orthogonality_check()
+    with pytest.raises(ConsistencyError, match="row orthogonality"):
+        row_orthogonality(g)
+
+
+def test_orthogonality_check_rejects_an_irrational_small_entry_at_the_identity():
+    g = PGL2(11, 1)
+    _perturb_entry(g, ("st",), ("id",), ex=g.q + 1)
+    with pytest.raises(ConsistencyError, match="small row"):
+        g.orthogonality_check()
+
+
+def test_a_small_row_of_the_wrong_sign_form_reaches_the_row_sums():
+    # st with -1 on every split class is a sign form, so the precondition
+    # passes it on, and the row sums must catch it
+    g = PGL2(11, 1)
+    real = g.char_counter
+    g.char_counter = lambda r, c: (
+        {0: -1} if r == ("st",) and c[0] == "split" else real(r, c)
+    )
+    with pytest.raises(ConsistencyError, match="row orthogonality"):
+        g.orthogonality_check()
+
+
 def _classify_each(g, mats):
     out = {}
     for m in mats:
@@ -313,6 +394,19 @@ def test_torus_classes_match_per_element_classification(p, f):
     assert g.torus_classes("hk0") == _trace_zero_classes_by_det(g, "H")
     assert g.torus_classes("h0k") == _trace_zero_classes_by_det(g, "K")
     assert g.torus_classes("hk0") is g.torus_classes("hk0")  # built once
+
+
+@pytest.mark.parametrize("p, f", [(5, 1), (3, 2), (13, 1)])
+def test_torus_sum_splits_each_torus_once(p, f):
+    g = PGL2(p, f)
+    for which in ("H", "K", "hk0", "h0k"):
+        for rep in g.reps():
+            assert g.torus_sum(rep, which) == g.class_sum(rep, g.torus_classes(which))
+        terms = g._torus_terms[which]
+        assert terms == g.family_terms(g.torus_classes(which))
+        g.torus_sum(("ps", 1) if g.q > 3 else ("cusp", 1), which)
+        assert g._torus_terms[which] is terms
+    assert PGL2(p, f)._torus_terms == {}  # per group, filled on first use
 
 
 def _invariant_dims_per_element(g, rep):

@@ -13,7 +13,7 @@ from toric_correlator import (
     eligible_exponents,
     theorem_report,
 )
-from toric_correlator.ps_model import INF_KEY, ZERO_KEY, CVec, _merge, cvec_equal
+from toric_correlator.ps_model import INF_KEY, ZERO_KEY, CVec, _merge, act, cvec_equal
 from toric_correlator.shintani import (
     lemma_checks,
     lemma_nonsquare_sum,
@@ -326,6 +326,118 @@ def test_translations_carry_the_column_checks(g25):
     op._t_power_check()
     with pytest.raises(ConsistencyError, match="intertwining"):
         op.check_all()
+
+
+# -- references: the per-entry table and the dict-based intertwining --------
+
+
+def reference_tabulate(op: ShintaniOperator) -> dict:
+    """The columns of Ttilde, one field subtraction, subfield dlog and
+    sigma_key per entry."""
+    m = op.model
+    if op.bc.kind == "split":
+        return {key: {op.sigma_key(key): 0} for key in m.basis_keys()}
+    g = op.g
+    t = g.tower
+    w = m.w()
+    lams = m.finite_keys()
+    cols = {INF_KEY: dict.fromkeys(lams, 0)}
+    for key in lams:
+        lam = m.lam_of(key)
+        col = {INF_KEY: 0}
+        for mu_key in lams:
+            if mu_key != key:
+                diff = t.sub(lam, m.lam_of(mu_key))
+                col[op.sigma_key(mu_key)] = w[g.sub_dlog(diff)][1]
+        cols[key] = col
+    return cols
+
+
+def reference_intertwining(op: ShintaniOperator) -> None:
+    """T pi(g) = pi(g^sigma) T compared as key -> exponent dicts, on the
+    same generators and basis keys."""
+    kk = op.kk
+    cols = op.columns
+    for gen, gen_s in op._generators():
+        for key in op.model.basis_keys():
+            nk, shift = gen[key]
+            lhs = {k: (e + shift) % kk for k, e in cols[nk].items()}
+            if lhs != act(gen_s, cols[key], kk):
+                raise ConsistencyError(f"intertwining fails at basis key {key}")
+
+
+# every eligible j of the five extension pairs the checks run on
+PAIRS = [(3, 3, 2, 2), (5, 5, 2, 2), (7, 7, 2, 2), (9, 3, 4, 2), (3, 3, 4, 4)]
+ELIGIBLE = [
+    (q_base, p, f, j)
+    for q_base, p, f, ext in PAIRS
+    for j in eligible_exponents(q_base, ext)
+]
+
+
+@pytest.mark.parametrize("q_base, p, f, j", ELIGIBLE)
+def test_tables_and_intertwining_match_references(q_base, p, f, j):
+    op = ShintaniOperator(PGL2(p, f), q_base, j)
+    assert op.bc.kind == "cusp"
+    want = reference_tabulate(op)
+    assert op.columns == want
+    # the same order of keys within each column, too
+    assert all(list(op.columns[k]) == list(want[k]) for k in want)
+    op.intertwining_check()
+    reference_intertwining(op)
+
+
+@pytest.mark.parametrize("p, ext", [(3, 2), (5, 2)])
+def test_split_tables_match_reference(p, ext):
+    g = PGL2(p, ext)
+    for j in _base_change_exponents(p, ext):
+        op = ShintaniOperator(g, p, j)
+        assert op.columns == reference_tabulate(op)
+        op.intertwining_check()
+        reference_intertwining(op)
+
+
+COLUMN_EDITS = ["shift an entry", "drop an entry", "add an entry"]
+
+
+@pytest.mark.parametrize("q_base, p, f, j", [(5, 5, 2, 4), (7, 7, 2, 18), (9, 3, 4, 16)])
+@pytest.mark.parametrize("column", [INF_KEY, ZERO_KEY, 0, 5])
+@pytest.mark.parametrize("edit", COLUMN_EDITS)
+def test_one_changed_column_entry_fails_intertwining(q_base, p, f, j, column, edit):
+    op = ShintaniOperator(PGL2(p, f), q_base, j)
+    col = op.columns[column]
+    if edit == "add an entry":
+        # each column has exactly one zero among the basis keys
+        (key,) = set(op.model.basis_keys()) - set(col)
+        col[key] = 0
+    else:
+        key = next(k for k in col if k != INF_KEY)
+        if edit == "drop an entry":
+            del col[key]
+        else:
+            col[key] = (col[key] + 1) % op.kk
+    with pytest.raises(ConsistencyError, match="intertwining"):
+        op.intertwining_check()
+    with pytest.raises(ConsistencyError, match="intertwining"):
+        reference_intertwining(op)
+
+
+def test_a_column_key_outside_the_basis_is_caught(g25):
+    op = ShintaniOperator(g25, 5, 4)
+    op.columns[ZERO_KEY][op.kk] = 0
+    with pytest.raises(ConsistencyError, match="outside the basis"):
+        op.intertwining_check()
+
+
+def test_a_twisted_generator_that_is_not_a_permutation_is_caught(g25):
+    op = ShintaniOperator(g25, 5, 4)
+    gens = op._generators()
+    gen, gen_s = gens[0]
+    gen_s = dict(gen_s)
+    gen_s[ZERO_KEY] = gen_s[INF_KEY]  # two keys sent to one image
+    op._generators = lambda: [(gen, gen_s)] + gens[1:]
+    with pytest.raises(ConsistencyError, match="not a permutation"):
+        op.intertwining_check()
 
 
 @pytest.fixture(scope="module")
