@@ -114,9 +114,9 @@ def cmd_modp(args) -> int:
 
     g = build_group(args.p, args.f, args.modulus)
     if args.rep:
-        reports = [rep_report(g, parse_rep(args.rep), seed=args.seed)]
+        reports = [rep_report(g, parse_rep(args.rep))]
     else:
-        reports = sweep(g, seed=args.seed)
+        reports = sweep(g)
     if args.format == "json":
         payload = {
             "group": g.describe(),
@@ -315,7 +315,7 @@ def _suite_diamond(sel=None):
         for rep in g.reps():
             if rep[0] not in ("ps", "cusp"):
                 continue
-            rpt = diamond_check(g, rep, corr_constant(g, rep))
+            rpt = diamond_check(g, rep)
             if not rpt.ok():
                 raise ConsistencyError(f"reduction cross-check fails for {rep}")
         yield f"constituent reduction cross-checks, q = {g.q}"
@@ -473,13 +473,6 @@ def main(argv: list[str] | None = None) -> int:
 
     sp = sub.add_parser("modp", help="residues at the primes above p")
     field_args(sp)
-    sp.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed of the cyclotomic factorization that cross-checks the primes; "
-        "the output does not depend on it, since the factors are sorted",
-    )
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(fn=cmd_modp)
 

@@ -27,10 +27,10 @@ PGL2.family_sum (the principal and cuspidal series, on the family_terms
 of the pair counts, also memoized) or PGL2.class_sum, and the constant
 itself is memoized on the group too, so correlate_all, regular_identity,
 the mod-p reports, the base-change reports and the CLI all share one
-value per representation. An explicit counts argument bypasses that memo
-in both directions. The regular identity embeds every memoized constant,
-times q^2 - 1, at conductor q^2 - 1 into one integer counter and reduces
-it once, so it checks exactly the values that correlate_all reports.
+value per representation. The regular identity embeds every memoized
+constant, times q^2 - 1, at conductor q^2 - 1 into one integer counter
+and reduces it once, so it checks exactly the values that correlate_all
+reports.
 
 The memos replace repeated work, not any of the three sign routes: each
 average is still taken over its own torus and compared with the closed
@@ -112,29 +112,23 @@ def _classify_pairs(g: PGL2) -> dict[Label, int]:
     return counts
 
 
-def corr_constant(g: PGL2, rep: Label, counts: dict[Label, int] | None = None) -> CycNum:
+def corr_constant(g: PGL2, rep: Label) -> CycNum:
     """The correlation constant c(rep), exact.
 
-    Memoized on the group, with the family_terms of the pair counts. An
-    explicit counts dict is summed as given, and its value is neither read
-    from nor written to the memo.
+    Memoized on the group, with the family_terms of the pair counts.
     """
     g.check_rep(rep)
-    if counts is not None:
-        return _constant(g, rep, counts, g.family_terms(counts))
     val = g._const_cache.get(rep)
     if val is None:
         if g._pair_terms is None:
             g._pair_terms = g.family_terms(pair_class_counts(g))
-        val = g._const_cache[rep] = _constant(g, rep, g._pair_counts, g._pair_terms)
+        kk = g.q**2 - 1
+        if rep[0] in ("ps", "cusp"):
+            val = g.family_sum(rep[0], rep[1], g._pair_terms, den=kk)
+        else:
+            val = g.class_sum(rep, g._pair_counts) / kk
+        g._const_cache[rep] = val
     return val
-
-
-def _constant(g: PGL2, rep: Label, counts: dict[Label, int], terms: dict) -> CycNum:
-    kk = g.q**2 - 1
-    if rep[0] in ("ps", "cusp"):
-        return g.family_sum(rep[0], rep[1], terms, den=kk)
-    return g.class_sum(rep, counts) / kk
 
 
 def epsilon_closed(g: PGL2, rep: Label) -> int | None:
@@ -193,7 +187,7 @@ def epsilon(g: PGL2, rep: Label) -> int | None:
     return closed
 
 
-def regular_identity(g: PGL2, counts: dict[Label, int] | None = None) -> None:
+def regular_identity(g: PGL2) -> None:
     """sum over pi of dim(pi) * c(pi) must equal q exactly.
 
     Equivalent to H and K meeting only in the identity; raises on failure.
@@ -206,7 +200,7 @@ def regular_identity(g: PGL2, counts: dict[Label, int] | None = None) -> None:
     kk = g.q**2 - 1
     total: dict[int, int] = {}
     for rep in g.reps():
-        val = corr_constant(g, rep, counts)
+        val = corr_constant(g, rep)
         if kk % val.k:
             raise ConsistencyError(f"c({rep}) has conductor {val.k}, not a divisor of {kk}")
         if kk % val.den:
@@ -260,15 +254,13 @@ def tensor_identity(g: PGL2, rep: Label) -> None:
         raise ConsistencyError(f"tensor identity fails for {rep}")
 
 
-def unipotent_pair_report(g: PGL2, counts: dict[Label, int] | None = None) -> dict:
+def unipotent_pair_report(g: PGL2) -> dict:
     """Measured count of unipotent products h*k against two predictions.
 
     The count depends on q mod 4 (it is q - 2 + eta(-1)); a prediction
     keyed to p mod 4 instead agrees with it exactly when f is odd.
     """
-    if counts is None:
-        counts = pair_class_counts(g)
-    measured = counts[("unip",)]
+    measured = pair_class_counts(g)[("unip",)]
     eta_m1 = 1 if (g.q - 1) // 2 % 2 == 0 else -1
     by_q = g.q - 2 + eta_m1
     by_p = g.q - 1 if g.p % 4 == 1 else g.q - 3

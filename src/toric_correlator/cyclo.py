@@ -33,8 +33,7 @@ from fractions import Fraction
 from . import gfpoly
 from .fields import ConsistencyError, FieldTower, FqElem
 
-_PHI_CACHE: dict[int, list[int]] = {}
-_FACTOR_CACHE: dict[tuple[int, int, int], list[list[int]]] = {}
+_FACTOR_CACHE: dict[tuple[int, int], list[list[int]]] = {}
 # conductor k -> {e: exp(2 pi i e / k)}, the floats CycNum.to_complex has
 # summed so far
 _ROOTS: dict[int, dict[int, complex]] = {}
@@ -51,8 +50,6 @@ def cyclotomic_poly(k: int) -> list[int]:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if k in _PHI_CACHE:
-        return _PHI_CACHE[k]
     primes = list(gfpoly.factorint(k))
     ups: list[int] = []
     downs: list[int] = []
@@ -74,7 +71,6 @@ def cyclotomic_poly(k: int) -> list[int]:
         if any(poly[j] != -(quo[j] if j <= top else 0) for j in range(d)):
             raise ArithmeticError("division is not exact")
         poly = quo
-    _PHI_CACHE[k] = poly
     return poly
 
 
@@ -98,7 +94,6 @@ class CycRing:
         self._fold_step = k // min(gfpoly.factorint(k)) if k > 1 else None
         # (i, a) for the nonzero a X^i of Phi_k below X^phi(k), which is monic
         self._terms = [(i, a) for i, a in enumerate(self.phi_poly[: self.deg]) if a]
-        self._phi_mod: dict[int, list[int]] = {}
 
     @classmethod
     def get(cls, k: int, cap: int | None = DEFAULT_CONDUCTOR_CAP) -> "CycRing":
@@ -113,12 +108,9 @@ class CycRing:
         return ring
 
     def phi_mod(self, p: int) -> list[int]:
-        """Phi_k mod p, computed once per prime; callers must not mutate it.
-        Phi_k is monic, so the degree stays phi(k)."""
-        f = self._phi_mod.get(p)
-        if f is None:
-            f = self._phi_mod[p] = [c % p for c in self.phi_poly]
-        return f
+        """Phi_k mod p, a fresh list per call. Phi_k is monic, so the degree
+        stays phi(k)."""
+        return [c % p for c in self.phi_poly]
 
     def reduce_vector(self, vec: list[int]) -> tuple[int, ...]:
         """Reduce an int coefficient vector of length <= k to the basis.
@@ -400,12 +392,12 @@ def _residue_degree(k: int, p: int) -> int:
     return d
 
 
-def factor_cyclotomic_mod_p(k: int, p: int, seed: int = 0) -> list[list[int]]:
+def factor_cyclotomic_mod_p(k: int, p: int) -> list[list[int]]:
     """Irreducible factors of Phi_k mod p, sorted by coefficient tuple.
 
     Requires p odd and coprime to k; then all factors share the degree
-    d = ord of p modulo k and the list has phi(k)/d entries. Deterministic
-    for a fixed seed.
+    d = ord of p modulo k and the list has phi(k)/d entries. Computed once
+    per (k, p) and memoized; callers must not mutate the result.
 
     Phi_k is first split through a subfield F_{p^j}, j | d, into the
     pieces gcd(Phi_k, m(X^(k/r))), r = gcd(k, p^j - 1), one for each
@@ -429,13 +421,13 @@ def factor_cyclotomic_mod_p(k: int, p: int, seed: int = 0) -> list[list[int]]:
         raise ValueError("p must be odd")
     if math.gcd(k, p) != 1:
         raise ValueError("p must not divide k")
-    key = (k, p, seed)
+    key = (k, p)
     if key in _FACTOR_CACHE:
         return _FACTOR_CACHE[key]
     d = _residue_degree(k, p)
     r = _split_conductor(k, p)
     if (p - 1) % r:
-        subfactors = factor_cyclotomic_mod_p(r, p, seed)
+        subfactors = factor_cyclotomic_mod_p(r, p)
     else:
         primes = gfpoly.factorint(r)
         subfactors = [
@@ -447,7 +439,7 @@ def factor_cyclotomic_mod_p(k: int, p: int, seed: int = 0) -> list[list[int]]:
         if gfpoly.degree(piece) == d:
             factors.append(piece)
         else:
-            factors += gfpoly.equal_degree_factor(piece, d, p, seed)
+            factors += gfpoly.equal_degree_factor(piece, d, p)
     factors.sort(key=tuple)
     _FACTOR_CACHE[key] = factors
     return factors

@@ -29,7 +29,7 @@ from . import gfpoly
 # distinguished generator.
 FqElem = int | None
 
-DEFAULT_TABLE_CAP = 1 << 20
+TABLE_CAP = 1 << 20
 
 
 class ConsistencyError(RuntimeError):
@@ -55,15 +55,14 @@ class FieldTower:
         p: int,
         m: int,
         modulus: list[int] | None = None,
-        table_cap: int = DEFAULT_TABLE_CAP,
     ):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if m < 1 or m % 2:
             raise ValueError(f"m = {m}: a tower has positive even degree")
         size = p**m
-        if size > table_cap:
-            raise ValueError(f"field size {size} exceeds table cap {table_cap}")
+        if size > TABLE_CAP:
+            raise ValueError(f"field size {size} exceeds table cap {TABLE_CAP}")
         self.p = p
         self.m = m
         self.size = size
@@ -228,10 +227,6 @@ class FieldTower:
     # -- arithmetic -------------------------------------------------------
 
     @property
-    def zero(self) -> FqElem:
-        return None
-
-    @property
     def one(self) -> FqElem:
         return 0
 
@@ -366,7 +361,6 @@ def build_tower(
     p: int,
     m: int,
     subfield_modulus: tuple[int, list[int]] | None = None,
-    table_cap: int = DEFAULT_TABLE_CAP,
 ) -> FieldTower:
     """Build F_{p^m}, optionally pinning a subfield generator's min-poly.
 
@@ -376,7 +370,7 @@ def build_tower(
     roots generate the subfield's multiplicative group; results computed in
     a pinned tower are then literal, not just Galois-conjugate, matches.
     """
-    tower = FieldTower(p, m, table_cap=table_cap)
+    tower = FieldTower(p, m)
     if subfield_modulus is None:
         return tower
     d, pin = subfield_modulus
@@ -403,7 +397,7 @@ def build_tower(
     e = root_exp
     while math.gcd(e, tower.order) != 1:
         e += sub_order
-    pinned = FieldTower(p, m, modulus=tower.minpoly(e), table_cap=table_cap)
+    pinned = FieldTower(p, m, modulus=tower.minpoly(e))
     if pinned.minpoly(pinned.subgen(d)) != pin:
         raise ConsistencyError("subfield pinning failed")
     return pinned

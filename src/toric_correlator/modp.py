@@ -69,7 +69,7 @@ def fraction_mod_p(x: Fraction, p: int) -> int:
     return x.numerator * pow(x.denominator, p - 2, p) % p
 
 
-def prime_handles(g: PGL2, conductor: int, seed: int = 0) -> list[PrimeIdealHandle]:
+def prime_handles(g: PGL2, conductor: int) -> list[PrimeIdealHandle]:
     """All primes above p in Q(zeta_conductor), sorted by factor.
 
     The primes come from the group's tower: one handle per key of
@@ -79,16 +79,16 @@ def prime_handles(g: PGL2, conductor: int, seed: int = 0) -> list[PrimeIdealHand
     independent source, and the sorted keys must equal them before any
     handle is built. Each of those factors divides Phi_conductor mod p by
     construction (see PrimeIdealHandle), so the handles skip their own
-    division. The list is built and checked once per group and conductor
-    (`seed` only steers that first factorization, whose sorted output does
-    not depend on it); each call returns a fresh copy.
+    division. The list is built and checked once per group and conductor,
+    so root_relabel_map runs once per conductor too; each call returns a
+    fresh copy.
     """
     handles = g._handle_cache.get(conductor)
     if handles is None:
         relabel = root_relabel_map(g, conductor)
         keys = sorted(relabel)
         factors = [list(key) for key in keys]
-        if factors != factor_cyclotomic_mod_p(conductor, g.p, seed):
+        if factors != factor_cyclotomic_mod_p(conductor, g.p):
             raise ConsistencyError(
                 f"the primes above {g.p} of Q(zeta_{conductor}) read from the tower "
                 "differ from the factors of the cyclotomic polynomial"
@@ -113,12 +113,9 @@ def root_relabel_map(g: PGL2, conductor: int) -> dict[tuple[int, ...], int]:
     The units j whose roots gen^(base * j) share a minimal polynomial are
     one Frobenius orbit {j p^i mod conductor}, so the walk takes the units
     in ascending order and computes one minimal polynomial per orbit, at
-    its least member.
+    its least member. Not memoized: prime_handles, its caller, keeps the
+    handles it builds from the map.
     """
-    cache = g._relabel_cache
-    out = cache.get(conductor)
-    if out is not None:
-        return out
     t = g.tower
     base = t.order // conductor
     out = {}
@@ -131,7 +128,6 @@ def root_relabel_map(g: PGL2, conductor: int) -> dict[tuple[int, ...], int]:
             seen.add(i)
             i = i * g.p % conductor
         out.setdefault(tuple(t.minpoly(base * j % t.order)), j)
-    cache[conductor] = out
     return out
 
 
@@ -248,16 +244,13 @@ class ModpReport:
         }
 
 
-def rep_report(
-    g: PGL2, rep: Label, value: CycNum | None = None, seed: int = 0
-) -> ModpReport:
+def rep_report(g: PGL2, rep: Label) -> ModpReport:
     """Residues of c(rep) at every prime above p, against the prediction.
 
     Also enforces the parity bridge d odd <-> epsilon = -1, which is a
     structural property of the relabeling.
     """
-    if value is None:
-        value = corr_constant(g, rep)
+    value = corr_constant(g, rep)
     eps = epsilon_closed(g, rep)
     if eps is None:
         raise ValueError(f"{rep} is not multiplicity-one")
@@ -274,7 +267,7 @@ def rep_report(
         # handles that send zeta_{value.k} to the same element reduce the
         # value alike, so each image is reduced once
         residues: dict[int, int | None] = {}
-        for handle in prime_handles(g, conductor, seed):
+        for handle in prime_handles(g, conductor):
             rr = relabeled_r(g, rep, handle)
             d = _relabeled_digit(rep, rr)
             digits, pred = _digit_prediction(g, d)
@@ -314,11 +307,11 @@ def rep_report(
     )
 
 
-def sweep(g: PGL2, seed: int = 0) -> list[ModpReport]:
+def sweep(g: PGL2) -> list[ModpReport]:
     """Reports for every multiplicity-one representation."""
     out = []
     for rep in g.reps():
         if rep[0] in ("eta", "st"):
             continue
-        out.append(rep_report(g, rep, seed=seed))
+        out.append(rep_report(g, rep))
     return out

@@ -111,28 +111,24 @@ class PGL2:
         p: int,
         f: int,
         chi_modulus: list[int] | None = None,
-        table_cap: int | None = None,
     ):
         if p == 2:
             raise ValueError("q must be odd")
-        kwargs = {} if table_cap is None else {"table_cap": table_cap}
         pin = None if chi_modulus is None else (f, chi_modulus)
         self.p = p
         self.f = f
         self.q = p**f
-        self.tower = build_tower(p, 2 * f, subfield_modulus=pin, **kwargs)
+        self.tower = build_tower(p, 2 * f, subfield_modulus=pin)
         self.cof = self.q + 1  # ambient dlog step of the subfield F_q
         self.order = self.q * (self.q**2 - 1)
         self._init_classes()
         self._init_tori()
         # per-group memo state, freed with the group
-        self._value_cache: dict[tuple[Label, Label], CycNum] = {}
         self._torus_classes: dict[str, dict[Label, int]] = {}
         self._torus_terms: dict[str, dict[str, tuple[int, list]]] = {}
         self._pair_counts: dict[Label, int] | None = None
         self._pair_terms: dict[str, tuple[int, list]] | None = None
         self._const_cache: dict[Label, CycNum] = {}
-        self._relabel_cache: dict[int, dict[tuple[int, ...], int]] = {}
         self._handle_cache: dict[int, list[PrimeIdealHandle]] = {}
         self._digit_cache: dict[int, tuple[list[int], int]] = {}
 
@@ -301,12 +297,7 @@ class PGL2:
         raise ValueError(f"unknown label {rep}")
 
     def char_value(self, rep: Label, cls: Label) -> CycNum:
-        key = (rep, cls)
-        val = self._value_cache.get(key)
-        if val is None:
-            val = CycNum.from_counter(self.q**2 - 1, self.char_counter(rep, cls))
-            self._value_cache[key] = val
-        return val
+        return CycNum.from_counter(self.q**2 - 1, self.char_counter(rep, cls))
 
     # -- torus character sums ---------------------------------------------
 

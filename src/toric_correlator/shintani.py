@@ -373,7 +373,7 @@ class BaseChangeReport:
         }
 
 
-def theorem_report(g: PGL2, q_base: int, j: int, counts=None) -> BaseChangeReport:
+def theorem_report(g: PGL2, q_base: int, j: int) -> BaseChangeReport:
     """Evaluate the descent sign rule for one base-change character.
 
     eps_tau = -1 must force S = 0 (hence a vanishing correlation constant
@@ -392,7 +392,7 @@ def theorem_report(g: PGL2, q_base: int, j: int, counts=None) -> BaseChangeRepor
     const = None
     if bc.regular:
         fold = min(j % big, (big - j) % big)
-        const = corr_constant(g, ("ps", fold), counts)
+        const = corr_constant(g, ("ps", fold))
         if const.is_zero() != vanishes:
             raise ConsistencyError("model sum and correlation constant disagree")
     ok = vanishes if eps == -1 else not vanishes
@@ -460,6 +460,7 @@ def lemma_checks(g: PGL2, q_base: int) -> None:
         raise ValueError("the lemmas require an even-degree extension")
     n = ext // 2
     big = g.q - 1
+    # the shift sum and the Gauss sum share one value
     want = CycNum.rational((-1) ** (n - 1) * q_base**n)
     # degenerate diagnostics: the trivial and quadratic characters
     if lemma_shift_sum(g, 0) != CycNum.rational(g.q - 2):
@@ -467,24 +468,24 @@ def lemma_checks(g: PGL2, q_base: int) -> None:
     if lemma_shift_sum(g, big // 2) != CycNum.rational(-1):
         raise ConsistencyError("quadratic-character shift sum is off")
     psi = AddChar(g.f, g.tower.one)
-    gauss_want = CycNum.rational((-1) ** (n - 1) * q_base**n)
     for j in eligible_exponents(q_base, ext):
         if lemma_shift_sum(g, j) != want:
             raise ConsistencyError(f"shift sum fails at j = {j}")
         if lemma_nonsquare_sum(g, j) != CycNum.rational(-1 + (-1) ** n * q_base**n):
             raise ConsistencyError(f"nonsquare sum fails at j = {j}")
-        if gauss_sum(g.tower, MulChar(big, 2 * j), psi) != gauss_want:
+        if gauss_sum(g.tower, MulChar(big, 2 * j), psi) != want:
             raise ConsistencyError(f"Gauss sign fails at j = {j}")
 
 
-def norm_map_check(g: PGL2, q_base: int, trials: int = 50, seed: int = 0) -> None:
-    """tr^2/det of the sigma-norm of a matrix over E lies in F_(q_base)."""
+def norm_map_check(g: PGL2, q_base: int) -> None:
+    """tr^2/det of the sigma-norm of a matrix over E lies in F_(q_base),
+    for 50 random invertible matrices from a fixed seed."""
     t = g.tower
     f0 = _log(q_base, g.p, g.f)
     ext = g.f // f0
-    rng = random.Random(seed)
+    rng = random.Random(0)
     checked = 0
-    while checked < trials:
+    while checked < 50:
         mat: Mat = tuple(
             None if rng.randrange(g.q) == 0 else g.sub_exp(rng.randrange(g.q - 1))
             for _ in range(4)

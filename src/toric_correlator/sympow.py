@@ -473,7 +473,7 @@ def _class_eigs(g: PGL2, cls: Label) -> tuple[int, int] | None:
     return (ee, ee * q % (q * q - 1))
 
 
-def diamond_check(g: PGL2, rep: Label, value: CycNum | None = None) -> DiamondReport:
+def diamond_check(g: PGL2, rep: Label) -> DiamondReport:
     """Full reduction cross-check for one ps or cusp representation.
 
     (i) the Brauer characters of the constituents sum to the ordinary
@@ -531,9 +531,7 @@ def diamond_check(g: PGL2, rep: Label, value: CycNum | None = None) -> DiamondRe
         raise ConsistencyError("flagged constituent has no weight-zero monomial")
     image = fmod.x_average(fmod.y_average({vh: t.one}))
     st = image.get(vh)
-    if value is None:
-        value = corr_constant(g, rep)
-    reduced = handle.reduce(value)
+    reduced = handle.reduce(corr_constant(g, rep))
     return DiamondReport(
         rep=rep,
         constituents=[c for _, c in parts],

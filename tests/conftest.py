@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from toric_correlator import PGL2
-from toric_correlator.correlation import pair_class_counts
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -59,12 +58,3 @@ def g25():
 def g49():
     return PGL2(7, 2)
 
-
-@pytest.fixture(scope="session")
-def counts7(g7):
-    return pair_class_counts(g7)
-
-
-@pytest.fixture(scope="session")
-def counts9(g9):
-    return pair_class_counts(g9)

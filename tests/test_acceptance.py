@@ -23,7 +23,6 @@ from toric_correlator import (
     diamond_check,
     epsilon,
     gfpoly,
-    pair_class_counts,
     regular_identity,
     rep_report,
     st_report,
@@ -88,7 +87,7 @@ def test_c02_pinned_f49_value_and_residues():
     t0 = time.monotonic()
     g = PGL2(7, 2, chi_modulus=[3, 6, 1])
     value = corr_constant(g, ("ps", 10))
-    rpt = rep_report(g, ("ps", 10), value)
+    rpt = rep_report(g, ("ps", 10))
     elapsed = time.monotonic() - t0
     sqrt2 = CycNum.zeta(8) + CycNum.zeta(8, 7)
     want = (CycNum.rational(10) - sqrt2) / CycNum.rational(150)
@@ -124,7 +123,7 @@ def test_c04_f343_rational_value_all_residues_zero():
     t0 = time.monotonic()
     g = PGL2(7, 3)
     value = corr_constant(g, ("ps", 38))
-    rpt = rep_report(g, ("ps", 38), value)
+    rpt = rep_report(g, ("ps", 38))
     elapsed = time.monotonic() - t0
     assert value.as_rational() == Fraction(588, 342 * 344)
     assert rpt.conductor == 342
@@ -181,11 +180,10 @@ def test_c07_structure_constant_sweeps():
 def test_c08_diamond_suites():
     for p in (3, 5, 7):
         g = field(p, 2)
-        counts = pair_class_counts(g)
         for rep in g.reps():
             if rep[0] not in ("ps", "cusp"):
                 continue
-            rpt = diamond_check(g, rep, corr_constant(g, rep, counts))
+            rpt = diamond_check(g, rep)
             assert rpt.ok(), (g.q, rep)
 
 
@@ -201,10 +199,9 @@ def test_c09_shintani_descent():
             if base_change_class(q_base, ext, j).kind != "none"
         ]
         assert js, (q_base, ext)
-        counts = pair_class_counts(g)
         for j in js:
             ShintaniOperator(g, q_base, j).check_all()
-            assert theorem_report(g, q_base, j, counts).sign_rule_ok, (g.q, j)
+            assert theorem_report(g, q_base, j).sign_rule_ok, (g.q, j)
     # character-sum lemmas and the Gauss sign at every scale
     # q_base^(2n) <= 81; F_81 decomposes over F_3 and over F_9
     lemma_checks(field(3, 2), 3)

@@ -186,3 +186,8 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     assert main(["correlate", "--p", "6", "--f", "1"]) == 2
     assert main(["correlate", "--p", "5", "--f", "1", "--rep", "bogus"]) == 2
+
+
+def test_table_cap_exits_2(capsys):
+    assert main(["correlate", "--p", "1031"]) == 2
+    assert "exceeds table cap" in capsys.readouterr().err

@@ -66,12 +66,12 @@ def test_q5_constants_frozen(g5):
         assert records[rep].value.as_rational() == want
 
 
-def test_q7_cuspidal_values_quadratic_irrational(g7, counts7):
+def test_q7_cuspidal_values_quadratic_irrational(g7):
     # the two nonvanishing cuspidal constants are (2 +/- sqrt2)/6
     sqrt2 = CycNum.zeta(8) + CycNum.zeta(8, 7)
     lo = (CycNum.rational(2) - sqrt2) / CycNum.rational(6)
     hi = (CycNum.rational(2) + sqrt2) / CycNum.rational(6)
-    got = [corr_constant(g7, ("cusp", r), counts7) for r in (1, 2, 3)]
+    got = [corr_constant(g7, ("cusp", r)) for r in (1, 2, 3)]
     nonzero = [v for v in got if not v.is_zero()]
     assert len(nonzero) == 2
     assert any(v == lo for v in nonzero)
@@ -209,12 +209,6 @@ def test_sign_averages_see_a_moved_class_count(p, f, which, family):
             epsilon(g, rep)
 
 
-def test_rep_value_independent_of_counts_argument(g5):
-    counts = pair_class_counts(g5)
-    for rep in (("steta",), ("cusp", 1)):
-        assert corr_constant(g5, rep) == corr_constant(g5, rep, counts)
-
-
 def test_records_shape(g5):
     rec = correlate_all(g5)[0]
     d = rec.to_json_dict()
@@ -238,14 +232,13 @@ def test_epsilon_rejects_bad_labels(g7, rep):
 @pytest.mark.parametrize("p, f", SMALL_FIELDS)
 def test_family_kernels_match_char_counter_reference(p, f):
     g = PGL2(p, f)
-    counts = pair_class_counts(g)
     for rep in g.reps():
         want = reference_corr_constant(g, rep)
+        got = corr_constant(g, rep)
         # the conductor and the coordinates enter the digest, not only the value
-        for got in (corr_constant(g, rep), corr_constant(g, rep, counts)):
-            assert got == want
-            assert got.k == want.k
-            assert got.to_json_dict()["coeffs"] == want.to_json_dict()["coeffs"]
+        assert got == want
+        assert got.k == want.k
+        assert got.to_json_dict()["coeffs"] == want.to_json_dict()["coeffs"]
 
 
 @pytest.mark.parametrize("p, f", [(7, 1), (3, 2), (5, 2), (7, 2)])
@@ -282,22 +275,16 @@ def test_constant_memo_is_per_group():
 
 
 def test_explicit_counts_bypass_the_memo():
+    # the family sum over a moved pair multiset matches the class-by-class
+    # reference on that multiset, and not the memoized constant
     g = PGL2(7, 1)
     rep = ("ps", 2)
-    cached = corr_constant(g, rep)
-    before = dict(g._const_cache)
-    counts = pair_class_counts(g)
-    counts[("split", 1)] += 1
-    counts[("split", 3)] -= 1
-    got = corr_constant(g, rep, counts)
-    assert got == reference_corr_constant(g, rep, counts)
-    assert got != cached
-    assert g._const_cache == before and g._const_cache[rep] is before[rep]
-    # an explicit dict fills nothing either
-    fresh = PGL2(7, 1)
-    corr_constant(fresh, rep, pair_class_counts(fresh))
-    assert fresh._const_cache == {}
-    assert fresh._pair_terms is None
+    moved = pair_class_counts(g)
+    moved[("split", 1)] += 1
+    moved[("split", 3)] -= 1
+    got = g.family_sum(*rep, g.family_terms(moved), den=g.q**2 - 1)
+    assert got == reference_corr_constant(g, rep, moved)
+    assert got != corr_constant(g, rep)
 
 
 def test_regular_identity_checks_the_memoized_constants():
@@ -305,11 +292,13 @@ def test_regular_identity_checks_the_memoized_constants():
     regular_identity(g)
     assert set(g._const_cache) == set(g.reps())
     rep = ("cusp", 1)
-    g._const_cache[rep] = g._const_cache[rep] + CycNum.zeta(8)
+    good = g._const_cache[rep]
+    g._const_cache[rep] = good + CycNum.zeta(8)
     with pytest.raises(ConsistencyError):
         regular_identity(g)
-    # the explicit-counts route recomputes and still passes
-    regular_identity(g, pair_class_counts(g))
+    # the memoized value restored passes again
+    g._const_cache[rep] = good
+    regular_identity(g)
 
 
 def test_regular_identity_rejects_a_coordinate_outside_the_lattice():

@@ -644,3 +644,9 @@ def test_prime_ideal_rejects_bad_root():
         PrimeIdealHandle(build_tower(7, 2), 5, 1)  # 5 does not divide 48
     with pytest.raises(ValueError):
         _handle_8_over_7(a=2)  # zeta_8^2 is not a primitive 8th root
+
+
+def test_conductor_beyond_the_cap_is_rejected():
+    # 200,003 is prime, so the exponent support {1} keeps the conductor
+    with pytest.raises(ValueError, match="exceeds cap"):
+        CycNum.from_counter(200_003, {1: 1})

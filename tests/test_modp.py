@@ -180,9 +180,7 @@ def test_handle_checks_a_passed_factor(p, f, pin, listed, distinguished):
     # checks factor(root) = 0 and the degree instead of calling minpoly
     t = PGL2(p, f, chi_modulus=None if pin is None else list(pin)).tower
     for k in listed:
-        phi = CycRing.get(k, cap=None).phi_mod(p)
-        assert phi == [c % p for c in cyclotomic_poly(k)]
-        assert CycRing.get(k, cap=None).phi_mod(p) is phi  # once per (k, p)
+        assert CycRing.get(k, cap=None).phi_mod(p) == [c % p for c in cyclotomic_poly(k)]
         own = t.minpoly(t.order // k % t.order)
         assert PrimeIdealHandle(t, k, 1, list(own)).factor == own
         for other in factor_cyclotomic_mod_p(k, p):
@@ -269,7 +267,7 @@ def test_prime_handles_memo_is_per_group():
     assert [h.factor for h in again] == want
     # built once: every call hands out the same handles
     assert all(x is y for x, y in zip(again, prime_handles(g, 48)))
-    other = prime_handles(PGL2(7, 1), 48, seed=5)
+    other = prime_handles(PGL2(7, 1), 48)
     assert [h.factor for h in other] == want
     assert not any(x is y for x, y in zip(again, other))
     assert all(h.tower is g.tower for h in again)
@@ -356,3 +354,39 @@ def test_report_json_shape(g5):
     assert d["conductor"] == 24
     entry = d["entries"][0]
     assert {"factor", "d", "digits", "predicted", "actual", "match"} <= set(entry)
+
+
+def test_sweep_relabels_each_conductor_once(monkeypatch):
+    # prime_handles keeps its handles per conductor, so the relabel map,
+    # which is not memoized, is walked once per conductor of a sweep
+    import toric_correlator.modp as modp
+
+    calls = []
+    real = modp.root_relabel_map
+
+    def counting(g, conductor):
+        calls.append(conductor)
+        return real(g, conductor)
+
+    monkeypatch.setattr(modp, "root_relabel_map", counting)
+    g = PGL2(5, 2)
+    sweep(g)
+    assert sorted(calls) == [g.q - 1, g.q**2 - 1]
+
+
+def test_second_sweep_reuses_the_cyclotomic_factors(monkeypatch):
+    # factor_cyclotomic_mod_p keeps each (k, p); a fresh group of the same
+    # q splits no cyclotomic polynomial again
+    import toric_correlator.cyclo as cyclo
+
+    first = [r.to_json_dict() for r in sweep(PGL2(5, 2))]
+    calls = []
+    real = cyclo._subfield_pieces
+
+    def counting(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(cyclo, "_subfield_pieces", counting)
+    assert [r.to_json_dict() for r in sweep(PGL2(5, 2))] == first
+    assert calls == []

@@ -529,3 +529,17 @@ def test_rejects_bad_parameters():
         PGL2(4, 1)
     with pytest.raises(ValueError):
         PGL2(2, 3)
+
+
+def test_group_beyond_the_table_cap_is_rejected(monkeypatch):
+    # q^2 = 1031^2 = 1,062,961 > 2^20: the size check fires before any
+    # modulus search or table build
+    from toric_correlator import fields
+
+    def no_tables(*_args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(fields.gfpoly, "first_primitive_modulus", no_tables)
+    monkeypatch.setattr(fields.FieldTower, "_build_tables", no_tables)
+    with pytest.raises(ValueError, match="exceeds table cap"):
+        PGL2(1031, 1)

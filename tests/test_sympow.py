@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from toric_correlator import PGL2, corr_constant, diamond_check, jh_constituents
+from toric_correlator import PGL2, diamond_check, jh_constituents
 from toric_correlator import st_report
 from toric_correlator.pgl2 import mat_mul
 from toric_correlator.sympow import (
@@ -126,7 +126,7 @@ def test_diamond_checks(g5, g7, g9):
         for rep in g.reps():
             if rep[0] not in ("ps", "cusp"):
                 continue
-            rpt = diamond_check(g, rep, corr_constant(g, rep))
+            rpt = diamond_check(g, rep)
             assert rpt.ok(), (g.q, rep, rpt)
 
 
