@@ -342,7 +342,7 @@ def _suite_shintani(sel=None):
         if not js:
             yield f"no regular twisted characters, F_{q_base} -> F_{g.q}"
             return
-        small = g.q <= 169
+        small = g.q <= 361
         for j in js:
             if small:
                 ShintaniOperator(g, q_base, j).check_all()

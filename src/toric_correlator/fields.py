@@ -74,8 +74,7 @@ class FieldTower:
             modulus = [c % p for c in modulus]
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree m")
-            if not gfpoly.is_irreducible(modulus, p):
-                raise ValueError("modulus is reducible")
+            # X of order p^m - 1 proves the modulus irreducible, as above
             if not gfpoly.element_order_check([0, 1], modulus, p, self.order):
                 raise ValueError("modulus is not primitive")
         self.modulus = modulus

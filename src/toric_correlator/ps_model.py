@@ -38,8 +38,7 @@ so the normalized squared correlation is |S|^2 / (q^2 - 1).
 
 PsModel is this model for an irreducible Ps(chi^r), with the checks of
 these facts; the Shintani operator of shintani.py acts on the same model
-for any base-change exponent. Its powers are sums that need not be one
-root of unity per key, so it also uses counter vectors key -> counter.
+for any base-change exponent.
 """
 
 from __future__ import annotations
@@ -55,8 +54,6 @@ ZERO_KEY = -1
 MVec = dict[int, int]
 # key -> (image key, zeta exponent): a monomial matrix, as a group action
 MonoMap = dict[int, tuple[int, int]]
-# key -> (zeta exponent -> integer coefficient)
-CVec = dict[int, dict[int, int]]
 
 
 class InducedModel:
@@ -168,18 +165,20 @@ class PsModel(InducedModel):
 
     def consistency_check(self) -> None:
         """Invariance of v_H and v_K, the inner-product collapse, and the
-        scaling rule for conjugate tori; raises on any failure."""
+        scaling rule for conjugate tori; raises on any failure.
+
+        diag(gamma, 1) generates H, and k_alpha generates K (PGL2 picks
+        alpha so that k_alpha has projective order q + 1), so a vector
+        fixed by the generator is fixed by the whole torus."""
         g = self.g
         t = g.tower
         kk = self.kk
         vh = self.vector_h()
         vk = self.vector_k()
-        for a in g.q_units():
-            if act(self.diag(a), vh, kk) != vh:
-                raise ConsistencyError("v_H is not H-fixed")
-        for k in g.K:
-            if act(self.apply(k), vk, kk) != vk:
-                raise ConsistencyError("v_K is not K-fixed")
+        if act(self.diag(g.sub_exp(1)), vh, kk) != vh:
+            raise ConsistencyError("v_H is not H-fixed")
+        if act(self.apply(g.k_alpha), vk, kk) != vk:
+            raise ConsistencyError("v_K is not K-fixed")
         # the scaled vectors turn <v_H, v_K> = S / (q^2 - 1) into S
         s = model_sum(g, self.r)
         if CycNum.from_counter(kk, inner_counter(vh, vk, kk)) != s:
@@ -232,27 +231,3 @@ def inner_counter(v: MVec, w: MVec, kk: int) -> dict[int, int]:
         e = (v[key] - w[key]) % kk
         ctr[e] = ctr.get(e, 0) + 1
     return ctr
-
-
-# -- counter vectors -------------------------------------------------------------
-
-
-def _merge(dst: dict[int, int], src: dict[int, int], shift: int, mult: int, kk: int):
-    for e, c in src.items():
-        e2 = (e + shift) % kk
-        dst[e2] = dst.get(e2, 0) + mult * c
-
-
-def _counter_zero(kk: int, ctr: dict[int, int]) -> bool:
-    if all(c == 0 for c in ctr.values()):
-        return True
-    return CycNum.from_counter(kk, ctr).is_zero()
-
-
-def cvec_equal(kk: int, v: CVec, w: CVec) -> bool:
-    for key in set(v) | set(w):
-        diff = dict(v.get(key, {}))
-        _merge(diff, w.get(key, {}), 0, -1, kk)
-        if not _counter_zero(kk, diff):
-            return False
-    return True

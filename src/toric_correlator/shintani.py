@@ -32,28 +32,34 @@ T is checked to intertwine (T pi(g) = pi(g^sigma) T on generators), to be
 unitary, to satisfy T^ext = 1, to fix v_H, and to send v_K to the
 conjugate-torus vector for alpha^sigma (scaled by -chi(1/alpha) in the
 cusp case). Every entry of Ttilde is 0 or a root of unity, so its q + 2
-columns are tabulated once per operator as key -> zeta exponent, and all
-four checks read that table. Each column is built in one pass over lists
-made once per operator (the elements lam of the finite keys and their
-negatives, the sigma-keys, and the exponents of w by subfield dlog), so
-an entry costs one field addition and one list lookup. Intertwining reads
-the columns as lists indexed by basis position, with None for a zero
-entry, and inverts each twisted generator once into (source position,
-shift) per position, so each (generator, key) test compares two lists.
-check_all checks intertwining first, on every basis column and every
-generator. The generators include the translations u_b for an F_p-basis
-b of E, and sigma^ext fixes E, so Ttilde^ext and the Gram matrix
-Ttilde* Ttilde commute with every translation: T^ext = 1 and unitarity
-are then checked from the columns at inf and 0 alone.
+columns are tabulated once per operator as key -> zeta exponent. Each
+column is built in one pass over lists made once per operator (the
+elements lam of the finite keys and their negatives, the sigma-keys, and
+the exponents of w by subfield dlog), so an entry costs one field
+addition and one list lookup. Intertwining reads the columns as lists
+indexed by basis position, with None for a zero entry, and inverts each
+twisted generator once into (source position, shift) per position, so
+each (generator, key) test compares two lists.
+
+check_all checks intertwining first, on every basis column and on
+generators of PGL2(E), so Ttilde pi(g) = pi(g^sigma) Ttilde then holds
+for every g. The other checks rest on it and read at most four
+coordinates each. Ttilde^ext (sigma^ext fixes E) and Ttilde* Ttilde (pi
+is unitary) commute with pi, so each is decided by its image of e_inf,
+as every basis vector is pi(g) e_inf for g = 1, w or u(-lam) w. That
+image is fixed by the translations, hence c e_inf + d sum of the f_lam,
+read at inf and 0. Ttilde v_H is H-fixed and Ttilde v_K(alpha) is
+K(alpha^sigma)-fixed, so each is decided at orbit representatives: inf,
+0 and lam = 1 for H, inf alone for K, which acts simply transitively on
+P^1(E). Nothing here needs pi irreducible, so every base-change j, the
+trivial and quadratic ones included, is checked the same way.
 
 The operator acts on the induced model of ps_model.py, the one PsModel
 uses: the keys, the monomial generator tables and the vectors v_H and
-v_K (one zeta exponent per key) all come from it. Intertwining compares
-such one-root-per-key tables exactly. The powers of Ttilde and its images
-of v_H and v_K are sums, carried as counter vectors key -> {exponent of
-zeta mod Q - 1: integer}, so every check is exact integer arithmetic with
-a cyclotomic fallback for sums of roots of unity that cancel without
-matching term by term.
+v_K (one zeta exponent per key) all come from it. The powers of Ttilde
+are sums, carried as counter vectors key -> {exponent of zeta mod Q - 1:
+integer}, and each coordinate read is one counter that
+CycNum.from_counter turns into a number, so every check is exact.
 """
 
 from __future__ import annotations
@@ -68,14 +74,15 @@ from .pgl2 import PGL2, Label, Mat, mat_det, mat_mul
 from .ps_model import (
     INF_KEY,
     ZERO_KEY,
-    CVec,
     InducedModel,
     MonoMap,
     MVec,
-    cvec_equal,
     inner_counter,
     model_sum,
 )
+
+# key -> (zeta exponent -> integer coefficient), for the powers of Ttilde
+CVec = dict[int, dict[int, int]]
 
 
 # -- classification ----------------------------------------------------------
@@ -145,7 +152,9 @@ class ShintaniOperator:
     A column costs one pass over lists kept for the whole table: one field
     addition lam + (-mu) and one lookup of the w exponent per entry.
     intertwining_check reads the same columns as position-indexed lists
-    and checks every basis key against every generator.
+    and checks every basis key against every generator. The other checks
+    rest on it and read only the few coordinates that equivariance leaves
+    free (see the module docstring).
     """
 
     def __init__(self, g: PGL2, q_base: int, j: int):
@@ -276,75 +285,81 @@ class ShintaniOperator:
                     )
 
     def _unitarity_check(self) -> None:
-        """Columns of Ttilde are orthogonal with squared norm t_scale^2.
-
-        Sound only after intertwining_check: Ttilde u_b = u_(sigma b) Ttilde
-        with u_b a permutation gives u_b* G u_b = G for the Gram matrix
-        G = Ttilde* Ttilde. The translations fix inf and act transitively
-        on the finite keys, so G[lam, mu] = G[0, mu - lam] and
-        G[inf, lam] = G[inf, 0]: G is known from (inf, inf), (inf, 0) and
-        (0, mu) for every finite mu.
-        """
+        """Ttilde* Ttilde = t_scale^2. Sound only after intertwining: this
+        Gram matrix G commutes with pi, so G[inf, inf] and G[0, inf], two
+        inner products of columns, decide it."""
         kk = self.kk
         cols = self.columns
-        want_diag = self.t_scale() ** 2
-        pairs = [(INF_KEY, INF_KEY), (INF_KEY, ZERO_KEY)]
-        pairs += [(ZERO_KEY, mu) for mu in self.model.finite_keys()]
-        for k1, k2 in pairs:
-            val = CycNum.from_counter(kk, inner_counter(cols[k1], cols[k2], kk))
-            want = CycNum.rational(want_diag if k1 == k2 else 0)
-            if val != want:
+        for key, want in ((INF_KEY, self.t_scale() ** 2), (ZERO_KEY, 0)):
+            val = CycNum.from_counter(kk, inner_counter(cols[INF_KEY], cols[key], kk))
+            if val != CycNum.rational(want):
                 raise ConsistencyError(
-                    f"unitarity fails at column pair ({k1}, {k2})"
+                    f"unitarity fails at column pair ({INF_KEY}, {key})"
                 )
 
     def _t_power_check(self) -> None:
-        """T^ext is the identity (so Ttilde^ext is t_scale^ext times it).
+        """T^ext = 1, that is Ttilde^ext = t_scale^ext. Sound only after
+        intertwining: Ttilde^ext commutes with pi, so the coordinates of
+        Ttilde^ext e_inf at inf and 0 decide it."""
+        vec: CVec = {INF_KEY: {0: 1}}
+        for _ in range(self.ext - 1):
+            vec = self.t_tilde(vec)
+        want = {
+            INF_KEY: CycNum.rational(self.t_scale() ** self.ext),
+            ZERO_KEY: CycNum.rational(0),
+        }
+        self._read(vec, want, "T^ext is not scalar")
 
-        Sound only after intertwining_check: sigma^ext fixes E, so
-        Ttilde^ext commutes with every translation u_b, which fix inf and
-        carry the column at 0 to every finite column. Columns inf and 0
-        decide the whole matrix.
-        """
-        want = self.t_scale() ** self.ext
-        for key in (INF_KEY, ZERO_KEY):
-            vec: CVec = {key: {0: 1}}
-            for _ in range(self.ext):
-                vec = self.t_tilde(vec)
-            target: CVec = {key: {0: want}}
-            if not cvec_equal(self.kk, vec, target):
-                raise ConsistencyError(f"T^ext is not scalar at key {key}")
-
-    def effects_check(self) -> None:
+    def _effects_check(self) -> None:
         """T v_H = v_H; T v_K = v_K(alpha^sigma), times -chi(1/alpha) in
-        the cusp case. Raises on failure."""
-        g = self.g
+        the cusp case. Raises on failure.
+
+        Sound only after intertwining. Ttilde v_H is H-fixed, as H is
+        sigma-stable, and (q - 1) v_H reads 0, 0 and 1 at inf, 0 and
+        lam = 1. Ttilde v_K(alpha) is fixed by sigma(K(alpha)) =
+        K(alpha^sigma), which acts simply transitively on P^1(E), so its
+        fixed vectors form one line. v_K(alpha') is
+        the K(alpha')-average of f for every nonsquare alpha' (the formula
+        of ps_model holds for each), so that line is spanned by
+        v_K(alpha^sigma), and since every v_K(alpha') reads 1 at inf, the
+        coordinate at inf is the scalar.
+        """
         m = self.model
-        kk = self.kk
         scale = self.t_scale()
-        vh = m.vector_h()
-        got = self.t_tilde({k: {e: 1} for k, e in vh.items()})
-        want: CVec = {k: {e: scale} for k, e in vh.items()}
-        if not cvec_equal(kk, got, want):
-            raise ConsistencyError("T does not fix v_H")
-        got = self.t_tilde({k: {e: 1} for k, e in m.vector_k().items()})
-        if self.bc.kind == "split":
-            shift, mult = 0, 1
-        else:
-            shift, mult = -m.chi_exp(g.alpha), -scale
-        vks = m.vector_k(self.sigma(g.alpha))
-        want = {k: {(e + shift) % kk: mult} for k, e in vks.items()}
-        if not cvec_equal(kk, got, want):
-            raise ConsistencyError("T does not map v_K as expected")
+        zero = CycNum.rational(0)
+        vh = {k: {e: 1} for k, e in m.vector_h().items()}
+        want = {INF_KEY: zero, ZERO_KEY: zero, 0: CycNum.rational(scale)}
+        self._read(vh, want, "T does not fix v_H")
+        vk = {k: {e: 1} for k, e in m.vector_k().items()}
+        mult = CycNum.rational(1)
+        if self.bc.kind == "cusp":
+            mult = CycNum.zeta(self.kk, -m.chi_exp(self.g.alpha)) * -scale
+        self._read(vk, {INF_KEY: mult}, "T does not map v_K as expected")
+
+    def _read(self, vec: CVec, want: dict[int, CycNum], failure: str) -> None:
+        """(Ttilde vec)[key] = want[key] for each key of want, each read
+        from row key of Ttilde; raise ConsistencyError on a mismatch."""
+        kk = self.kk
+        for key, val in want.items():
+            ctr: dict[int, int] = {}
+            for k, terms in vec.items():
+                e = self.columns[k].get(key)
+                if e is not None:
+                    for e0, c in terms.items():
+                        x = (e0 + e) % kk
+                        ctr[x] = ctr.get(x, 0) + c
+            if CycNum.from_counter(kk, ctr) != val:
+                raise ConsistencyError(f"{failure} at key {key}")
 
     def check_all(self) -> None:
         """Intertwining on every basis vector and generator; then, resting
-        on it, unitarity and T^ext = 1 from columns inf and 0; then the
-        effects on v_H and v_K. Raises ConsistencyError on any failure."""
+        on it, unitarity, T^ext = 1 and the effects on v_H and v_K, each
+        read from at most four coordinates. Raises ConsistencyError on any
+        failure."""
         self.intertwining_check()
         self._unitarity_check()
         self._t_power_check()
-        self.effects_check()
+        self._effects_check()
 
 
 # -- the vanishing theorem ---------------------------------------------------

@@ -336,6 +336,13 @@ def test_non_primitive_modulus_rejected():
         FieldTower(3, 4, modulus=[1, 1, 1, 1, 1])
 
 
+def test_reducible_modulus_rejected_by_the_order_check():
+    # x^2 + 3x + 2 = (x + 1)(x + 2) mod 7: no unit of its ring has order 48
+    assert not gfpoly.is_irreducible([2, 3, 1], 7)
+    with pytest.raises(ValueError, match="not primitive"):
+        FieldTower(7, 2, modulus=[2, 3, 1])
+
+
 def test_odd_degree_tower_rejected():
     # PGL2(F_q) builds F_{q^2}; odd degrees fail before any table is built
     for p, m in ((3, 1), (7, 1), (3, 3), (5, 3)):

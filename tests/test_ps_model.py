@@ -190,22 +190,24 @@ def test_scalars_act_trivially(g7):
         assert model.apply((c, None, None, c)) == identity
 
 
-def test_h_vector_is_an_h_eigenvector(g7):
-    g = g7
-    for r in range(1, (g.q - 1) // 2):
-        model = PsModel(g, r)
-        vh = model.vector_h()
-        for h in g.H:
-            assert act(model.apply(h), vh, model.kk) == vh
+# consistency_check tests one generator of each torus; these loops over
+# every element are its reference
+def test_h_vector_is_an_h_eigenvector(g7, g25):
+    for g in (g7, g25, PGL2(3, 3)):
+        for r in range(1, (g.q - 1) // 2):
+            model = PsModel(g, r)
+            vh = model.vector_h()
+            for h in g.H:
+                assert act(model.apply(h), vh, model.kk) == vh
 
 
-def test_k_vector_is_k_invariant(g7):
-    g = g7
-    for r in (1, 2):
-        model = PsModel(g, r)
-        vk = model.vector_k()
-        for k in g.K:
-            assert act(model.apply(k), vk, model.kk) == vk
+def test_k_vector_is_k_invariant(g7, g25):
+    for g in (g7, g25, PGL2(3, 3)):
+        for r in (1, 2):
+            model = PsModel(g, r)
+            vk = model.vector_k()
+            for k in g.K:
+                assert act(model.apply(k), vk, model.kk) == vk
 
 
 def test_consistency_check_passes(g5, g7, g9):

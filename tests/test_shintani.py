@@ -13,8 +13,9 @@ from toric_correlator import (
     eligible_exponents,
     theorem_report,
 )
-from toric_correlator.ps_model import INF_KEY, ZERO_KEY, CVec, _merge, act, cvec_equal
+from toric_correlator.ps_model import INF_KEY, ZERO_KEY, act
 from toric_correlator.shintani import (
+    CVec,
     lemma_checks,
     lemma_nonsquare_sum,
     lemma_shift_sum,
@@ -168,6 +169,23 @@ def test_rejects_base_that_is_not_a_subfield(p, f, q_base):
 # -- references: Ttilde from field arithmetic, checks on every column -------
 
 
+def _merge(dst: dict[int, int], src: dict[int, int], shift: int, kk: int):
+    for e, c in src.items():
+        e2 = (e + shift) % kk
+        dst[e2] = dst.get(e2, 0) + c
+
+
+def cvec_equal(kk: int, v: CVec, w: CVec) -> bool:
+    """Counter vectors equal as vectors of cyclotomic numbers, key by key."""
+    for key in set(v) | set(w):
+        diff = dict(v.get(key, {}))
+        for e, c in w.get(key, {}).items():
+            diff[e] = diff.get(e, 0) - c
+        if any(diff.values()) and not CycNum.from_counter(kk, diff).is_zero():
+            return False
+    return True
+
+
 def reference_t_tilde(op: ShintaniOperator, vec: CVec) -> CVec:
     """Ttilde from its defining formula, one field computation per entry."""
     g = op.g
@@ -176,20 +194,20 @@ def reference_t_tilde(op: ShintaniOperator, vec: CVec) -> CVec:
     out: CVec = {}
     for key, ctr in vec.items():
         if op.bc.kind == "split":
-            _merge(out.setdefault(op.sigma_key(key), {}), ctr, 0, 1, kk)
+            _merge(out.setdefault(op.sigma_key(key), {}), ctr, 0, kk)
             continue
         if key == INF_KEY:
             for mu in op.model.finite_keys():
-                _merge(out.setdefault(mu, {}), ctr, 0, 1, kk)
+                _merge(out.setdefault(mu, {}), ctr, 0, kk)
             continue
         lam = op.model.lam_of(key)
-        _merge(out.setdefault(INF_KEY, {}), ctr, 0, 1, kk)
+        _merge(out.setdefault(INF_KEY, {}), ctr, 0, kk)
         for mu_key in op.model.finite_keys():
             if mu_key == key:
                 continue
             diff = t.sub(lam, op.model.lam_of(mu_key))
             shift = op.model.chi_exp(t.neg(t.mul(diff, diff)))
-            _merge(out.setdefault(op.sigma_key(mu_key), {}), ctr, shift, 1, kk)
+            _merge(out.setdefault(op.sigma_key(mu_key), {}), ctr, shift, kk)
     return {k: v for k, v in out.items() if any(v.values())}
 
 
@@ -226,6 +244,34 @@ def reference_t_power(op: ShintaniOperator) -> None:
             raise ConsistencyError(f"T^ext is not scalar at key {key}")
 
 
+def reference_effects(op: ShintaniOperator) -> None:
+    """Ttilde v_H and Ttilde v_K against the whole expected vectors."""
+    g = op.g
+    m = op.model
+    kk = op.kk
+    scale = op.t_scale()
+    vh = m.vector_h()
+    got = op.t_tilde({k: {e: 1} for k, e in vh.items()})
+    want: CVec = {k: {e: scale} for k, e in vh.items()}
+    if not cvec_equal(kk, got, want):
+        raise ConsistencyError("T does not fix v_H")
+    got = op.t_tilde({k: {e: 1} for k, e in m.vector_k().items()})
+    if op.bc.kind == "split":
+        shift, mult = 0, 1
+    else:
+        shift, mult = -m.chi_exp(g.alpha), -scale
+    vks = m.vector_k(op.sigma(g.alpha))
+    want = {k: {(e + shift) % kk: mult} for k, e in vks.items()}
+    if not cvec_equal(kk, got, want):
+        raise ConsistencyError("T does not map v_K as expected")
+
+
+def reference_checks(op: ShintaniOperator) -> None:
+    reference_unitarity(op)
+    reference_t_power(op)
+    reference_effects(op)
+
+
 def _base_change_exponents(q_base: int, ext: int) -> list[int]:
     """Every split j, and the eligible cuspidal j."""
     big = q_base**ext - 1
@@ -244,8 +290,7 @@ def test_column_checks_agree_with_all_columns(p, ext):
             vec = {key: {0: 1}}
             assert op.t_tilde(vec) == reference_t_tilde(op, vec), (j, key)
         op.check_all()
-        reference_unitarity(op)
-        reference_t_power(op)
+        reference_checks(op)
 
 
 def test_perturbed_kernel_entry_is_caught(g25):
@@ -253,18 +298,12 @@ def test_perturbed_kernel_entry_is_caught(g25):
     col = op.columns[ZERO_KEY]
     key = op.sigma_key(3)
     col[key] = (col[key] + 1) % op.kk
-    with pytest.raises(ConsistencyError):
+    # the coordinate reads rest on intertwining, which catches it first
+    with pytest.raises(ConsistencyError, match="intertwining"):
         op.check_all()
-    # each check sees it on its own, as the references do
-    for check in (
-        op.intertwining_check,
-        op._unitarity_check,
-        op._t_power_check,
-        lambda: reference_unitarity(op),
-        lambda: reference_t_power(op),
-    ):
+    for check in (reference_unitarity, reference_t_power):
         with pytest.raises(ConsistencyError):
-            check()
+            check(op)
 
 
 def test_rotated_operator_fails_only_t_power(g25):
@@ -284,6 +323,8 @@ def test_rotated_operator_fails_only_t_power(g25):
 
 
 def test_column_checks_read_every_entry_they_rely_on(g25):
+    # each edit keeps what a few coordinate reads see, so check_all must
+    # stop it at intertwining, and the dense references see it too
     # two entries of column 0 swapped: its entry multiset stays, so
     # G[0, 0] and G[inf, 0] still hold and only some G[0, mu] fails
     op = ShintaniOperator(g25, 5, 4)
@@ -291,13 +332,17 @@ def test_column_checks_read_every_entry_they_rely_on(g25):
     a = 0
     b = next(k for k in range(op.kk) if col[k] != col[a])
     col[a], col[b] = col[b], col[a]
+    with pytest.raises(ConsistencyError, match="intertwining"):
+        op.check_all()
     with pytest.raises(ConsistencyError, match=r"column pair \(-1, \d+\)"):
-        op._unitarity_check()
+        reference_unitarity(op)
     # one entry of column inf moved: its norm stays, only G[inf, 0] fails
     op = ShintaniOperator(g25, 5, 4)
     op.columns[INF_KEY][0] = 1
+    with pytest.raises(ConsistencyError, match="intertwining"):
+        op.check_all()
     with pytest.raises(ConsistencyError, match=r"column pair \(-2, -1\)"):
-        op._unitarity_check()
+        reference_unitarity(op)
     # one row's entries swapped between columns 0 and lam: Ttilde^2 e_inf
     # sums every finite column, so it stays, and only column 0 fails
     op = ShintaniOperator(g25, 5, 4)
@@ -308,8 +353,29 @@ def test_column_checks_read_every_entry_they_rely_on(g25):
         if row in cols[k] and cols[k][row] != cols[ZERO_KEY][row]
     )
     cols[lam][row], cols[ZERO_KEY][row] = cols[ZERO_KEY][row], cols[lam][row]
+    with pytest.raises(ConsistencyError, match="intertwining"):
+        op.check_all()
     with pytest.raises(ConsistencyError, match=f"at key {ZERO_KEY}"):
-        op._t_power_check()
+        reference_t_power(op)
+
+
+def test_negated_operator_fails_only_the_v_h_effect(g25):
+    # -Ttilde still intertwines, is unitary and, ext being even, has the
+    # right ext-th power; only the effects tell it apart
+    op = ShintaniOperator(g25, 5, 4)
+    half = op.kk // 2
+    for col in op.columns.values():
+        for key in col:
+            col[key] = (col[key] + half) % op.kk
+    op.intertwining_check()
+    op._unitarity_check()
+    op._t_power_check()
+    reference_unitarity(op)
+    reference_t_power(op)
+    with pytest.raises(ConsistencyError, match="v_H"):
+        op.check_all()
+    with pytest.raises(ConsistencyError, match="v_H"):
+        reference_effects(op)
 
 
 def test_translations_carry_the_column_checks(g25):
@@ -385,6 +451,20 @@ def test_tables_and_intertwining_match_references(q_base, p, f, j):
     assert all(list(op.columns[k]) == list(want[k]) for k in want)
     op.intertwining_check()
     reference_intertwining(op)
+
+
+@pytest.mark.parametrize("q_base, p, f, j", ELIGIBLE)
+def test_coordinate_reads_agree_with_dense_references(q_base, p, f, j):
+    op = ShintaniOperator(PGL2(p, f), q_base, j)
+    op.check_all()
+    reference_checks(op)
+    # the v_K read assumes v_K(alpha^sigma) fixed by sigma(K(alpha))
+    g = op.g
+    m = op.model
+    vks = m.vector_k(op.sigma(g.alpha))
+    for k in g.K:
+        k_sigma = tuple(op.sigma(x) for x in k)
+        assert act(m.apply(k_sigma), vks, op.kk) == vks
 
 
 @pytest.mark.parametrize("p, ext", [(3, 2), (5, 2)])
