@@ -256,6 +256,22 @@ def _sel_fields(sel, default) -> list[tuple[int, int]]:
     return list(default)
 
 
+def _check_field_options(args) -> None:
+    """Refuse the field options the chosen suite would ignore."""
+    given = {o for o in ("p", "f", "f_base", "ext") if getattr(args, o) is not None}
+    if args.suite == "all":
+        ignored = given
+    elif args.suite == "shintani":
+        # --p and --f-base only with --ext, and never --f
+        ignored = given & {"f"} if "ext" in given else given
+    else:
+        # --p and --f, and --f only with --p
+        ignored = given - {"p", "f"} if "p" in given else given
+    if ignored:
+        opts = ", ".join("--" + o.replace("_", "-") for o in sorted(ignored))
+        raise ValueError(f"verify --suite {args.suite} would ignore {opts}")
+
+
 def _suite_regular(sel=None):
     fields = _sel_fields(sel, ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)))
     for p, f in fields:
@@ -417,6 +433,7 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    _check_field_options(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:

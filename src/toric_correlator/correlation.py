@@ -124,7 +124,7 @@ def corr_constant(g: PGL2, rep: Label) -> CycNum:
             g._pair_terms = g.family_terms(pair_class_counts(g))
         kk = g.q**2 - 1
         if rep[0] in ("ps", "cusp"):
-            val = g.family_sum(rep[0], rep[1], g._pair_terms, den=kk)
+            val = g.family_sum(g.form(rep), g._pair_terms, den=kk)
         else:
             val = g.class_sum(rep, g._pair_counts) / kk
         g._const_cache[rep] = val

@@ -14,24 +14,26 @@ and irreducible characters likewise: ("triv",), ("eta",), ("st",),
 1..(q-1)/2. Character values are kept as exponent counters modulo
 q^2 - 1 (dicts exp -> int).
 
+Each character is written once, by form: its integer values on id and
+unip and, per torus family, a pair (c, s) with 2 chi(split e) =
+c (w^(s e) + w^(-s e)) for w = zeta^(q+1) of order q - 1, and
+2 chi(ell j) = c (v^(s j) + v^(-s j)) for v = zeta^(q-1) of order q + 1
+(None where chi vanishes on the family). The sign (-1)^e is w^(e (q-1)/2)
+and (-1)^j is v^(j (q+1)/2), so the four small reps take s = 0 or a half
+period. char_counter evaluates the form class by class.
+
 class_sum is the class-weighted character sum over a class multiset
-{cls: n}. For the two large families it is written once, in family_sum:
-ps s reads only the split classes, at the exponents +-s e (q + 1), and
-cusp s only the elliptic ones, at -+s j (q - 1), plus integer id and unip
-terms. These are powers of a root of unity of order m = q - 1, resp.
-q + 1, whose s-th power is zeta_d^(s/h) for h = gcd(s, m) and d = m/h,
-so each sum fills one integer vector at conductor d and reduces it once,
-with any denominator passed into that reduction; nothing is built at
-conductor q^2 - 1. family_terms splits a multiset once, so every rep
-summed over it shares the split; torus_sum keeps that split per torus
-multiset on the group. The form holds for any integer s, label or not.
-The four rational reps keep the char_counter sum and one from_counter
-reduction, and the char_counter sum stays the test reference for the
-family form. orthogonality_check sums every row product that meets a
-large family by the same form: a product of two ps rows (or two cusp
-rows) is two family sums over the class sizes plus integer id and unip
-terms, and a small row times a family row, the small rep being +-1 or
-+-(-1)^x on the torus classes, is one such sum.
+{cls: n}. For a form with one family (ps, cusp, or a kernel of
+orthogonality_check) it is family_sum: on that family's classes the form
+is powers of a root of unity of order m = q -+ 1, whose s-th power is
+zeta_d^(s/h) for h = gcd(s, m) and d = m/h, so each sum fills one integer
+vector at conductor d and reduces it once, with any denominator passed
+into that reduction; nothing is built at conductor q^2 - 1. family_terms
+splits a multiset once into its raw counts, so every form summed over it
+shares the split; torus_sum keeps that split per torus multiset on the
+group. The four small reps keep the char_counter sum and one from_counter
+reduction. orthogonality_check sums every row product from the two forms:
+the id and unip terms plus, per family, c1 c2 times two kernel values.
 
 H is the split torus {diag(a, 1)} and K the non-split torus, realized as
 multiplication by 1 + z*sqrt(alpha) on the plane with basis {1,
@@ -45,42 +47,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 from .cyclo import CycNum, PrimeIdealHandle
 from .fields import ConsistencyError, FieldTower, FqElem, build_tower
 
 Mat = tuple[FqElem, FqElem, FqElem, FqElem]
 Label = tuple
-
-
-def _pm_counter(ex: int, kk: int, sign: int) -> dict[int, int]:
-    """sign * (zeta^ex + zeta^-ex) as an exponent counter modulo kk."""
-    out: dict[int, int] = {}
-    for x in (ex % kk, -ex % kk):
-        out[x] = out.get(x, 0) + sign
-    return out
-
-
-def _row_product(kk: int, sizes: list[int], row1: list, row2: list) -> CycNum:
-    """sum over classes of |cls| chi_1(cls) conj chi_2(cls), class by
-    class, from two rows of char_counter values."""
-    total: dict[int, int] = {}
-    for sz, c1, c2 in zip(sizes, row1, row2):
-        for e1, a in c1.items():
-            for e2, b in c2.items():
-                ex = (e1 - e2) % kk
-                total[ex] = total.get(ex, 0) + sz * a * b
-    return CycNum.from_counter(kk, total)
-
-
-def _sign_form(row: list, at: list[tuple[int, int]], rep: Label, fam: str) -> tuple[int, int]:
-    """The (s, t), s = +-1 and t in {0, 1}, with row[i] = {0: s (-1)^(t x)}
-    at every (index i, class parameter x) in at; raise if there is none."""
-    for t in (0, 1):
-        for s in (1, -1):
-            if all(row[i] == {0: s * (-1) ** (t * x)} for i, x in at):
-                return s, t
-    raise ConsistencyError(f"small row {rep} is not +-1 or +-(-1)^x on the {fam} classes")
 
 
 def mat_mul(t: FieldTower, x: Mat, y: Mat) -> Mat:
@@ -123,11 +96,18 @@ class PGL2:
         self.order = self.q * (self.q**2 - 1)
         self._init_classes()
         self._init_tori()
+        hs, he = (self.q - 1) // 2, (self.q + 1) // 2  # (-1)^e = w^(hs e), (-1)^j = v^(he j)
+        self._small_forms = {  # see form
+            "triv": (1, 1, {"split": (1, 0), "ell": (1, 0)}),
+            "eta": (1, 1, {"split": (1, hs), "ell": (1, he)}),
+            "st": (self.q, 0, {"split": (1, 0), "ell": (-1, 0)}),
+            "steta": (self.q, 0, {"split": (1, hs), "ell": (-1, he)}),
+        }
         # per-group memo state, freed with the group
         self._torus_classes: dict[str, dict[Label, int]] = {}
-        self._torus_terms: dict[str, dict[str, tuple[int, list]]] = {}
+        self._torus_terms: dict[str, tuple[int, int, dict[str, list]]] = {}
         self._pair_counts: dict[Label, int] | None = None
-        self._pair_terms: dict[str, tuple[int, list]] | None = None
+        self._pair_terms: tuple[int, int, dict[str, list]] | None = None
         self._const_cache: dict[Label, CycNum] = {}
         self._handle_cache: dict[int, list[PrimeIdealHandle]] = {}
         self._digit_cache: dict[int, tuple[list[int], int]] = {}
@@ -246,55 +226,41 @@ class PGL2:
             return
         raise ValueError(f"{rep} does not label an irreducible of PGL2(F_{q})")
 
-    def dim(self, rep: Label) -> int:
+    def form(self, rep: Label) -> tuple[int, int, dict[str, tuple[int, int] | None]]:
+        """The character of rep as (chi(id), chi(unip), {"split": (c, s),
+        "ell": (c, s)}): 2 chi(split e) = c (w^(s e) + w^(-s e)) and
+        2 chi(ell j) = c (v^(s j) + v^(-s j)), None where chi vanishes.
+        The four small forms are built once per group, so callers must not
+        mutate what this returns."""
         self.check_rep(rep)
         q = self.q
-        return {"triv": 1, "eta": 1, "st": q, "steta": q, "ps": q + 1, "cusp": q - 1}[
-            rep[0]
-        ]
+        if rep[0] == "ps":
+            return q + 1, 1, {"split": (2, rep[1]), "ell": None}
+        if rep[0] == "cusp":
+            return q - 1, -1, {"split": None, "ell": (-2, rep[1])}
+        return self._small_forms[rep[0]]
 
-    def char_counter(self, rep: Label, cls: Label) -> dict[int, int]:
-        """chi_rep(cls) as an exponent counter modulo q^2 - 1."""
-        self.check_rep(rep)
+    def dim(self, rep: Label) -> int:
+        return self.form(rep)[0]
+
+    def char_counter(self, rep: Label, cls: Label) -> dict[int, int | Fraction]:
+        """chi_rep(cls) as an exponent counter modulo q^2 - 1, evaluated
+        from form: c (zeta^x + zeta^-x) / 2, which is c zeta^x when the
+        two exponents agree. Counts are half-integers only for an odd c
+        off those exponents, which no rep's form has."""
+        chi_id, chi_unip, fams = self.form(rep)
+        if cls[0] in ("id", "unip"):
+            return {0: chi_id if cls[0] == "id" else chi_unip}
+        if fams[cls[0]] is None:
+            return {}
+        c, s = fams[cls[0]]
         q = self.q
-        kind, ckind = rep[0], cls[0]
-        if kind == "triv":
-            return {0: 1}
-        if kind == "eta":
-            sign = 1 if ckind in ("id", "unip") else (-1) ** cls[1]
-            return {0: sign}
-        if kind == "st":
-            return {
-                "id": {0: q},
-                "unip": {},
-                "split": {0: 1},
-                "ell": {0: -1},
-            }[ckind]
-        if kind == "steta":
-            base = self.char_counter(("st",), cls)
-            if ckind in ("split", "ell") and cls[1] % 2:
-                return {e: -c for e, c in base.items()}
-            return base
-        r = rep[1]
         kk = q * q - 1
-        if kind == "ps":
-            if ckind == "id":
-                return {0: q + 1}
-            if ckind == "unip":
-                return {0: 1}
-            if ckind == "ell":
-                return {}
-            return _pm_counter(r * cls[1] * (q + 1), kk, 1)
-        if kind == "cusp":
-            if ckind == "id":
-                return {0: q - 1}
-            if ckind == "unip":
-                return {0: -1}
-            if ckind == "split":
-                return {}
-            ee = q + 1 - cls[1]  # an eigenvalue dlog with this angle
-            return _pm_counter(r * ee * (q - 1), kk, -1)
-        raise ValueError(f"unknown label {rep}")
+        x = s * cls[1] * (q + 1 if cls[0] == "split" else q - 1) % kk
+        if 2 * x % kk == 0:
+            return {x: c}
+        half = Fraction(c, 2) if c % 2 else c // 2
+        return {x: half, kk - x: half}
 
     def char_value(self, rep: Label, cls: Label) -> CycNum:
         return CycNum.from_counter(self.q**2 - 1, self.char_counter(rep, cls))
@@ -320,46 +286,47 @@ class PGL2:
             out = self._torus_classes[which] = Counter(map(self.classify, mats))
         return out
 
-    def family_terms(self, classes: dict[Label, int]) -> dict[str, tuple[int, list]]:
-        """What family_sum reads of a class multiset: for "ps" and "cusp",
-        the integer id and unip term and the signed (e or j, count) pairs
-        of the split, resp. elliptic, classes."""
-        q = self.q
-        n_id = classes.get(("id",), 0)
-        n_unip = classes.get(("unip",), 0)
-        ps: list[tuple[int, int]] = []
-        cusp: list[tuple[int, int]] = []
+    def family_terms(self, classes: dict[Label, int]) -> tuple[int, int, dict[str, list]]:
+        """What family_sum reads of a class multiset, as raw counts:
+        (n_id, n_unip, {"split": [(e, n)], "ell": [(j, n)]})."""
+        pairs: dict[str, list[tuple[int, int]]] = {"split": [], "ell": []}
         for cls, n in classes.items():
-            if n and cls[0] == "split":
-                ps.append((cls[1], n))
-            elif n and cls[0] == "ell":
-                cusp.append((cls[1], -n))
-        return {"ps": ((q + 1) * n_id + n_unip, ps), "cusp": ((q - 1) * n_id - n_unip, cusp)}
+            if n and cls[0] in pairs:
+                pairs[cls[0]].append((cls[1], n))
+        return classes.get(("id",), 0), classes.get(("unip",), 0), pairs
 
-    def family_sum(self, kind: str, s: int, terms: dict, den: int = 1) -> CycNum:
-        """Sum of n * chi(cls) / den over a multiset, for chi the "ps" or
-        "cusp" character formula at any integer s, from its family_terms.
+    def family_sum(self, form: tuple, terms: tuple, den: int = 1) -> CycNum:
+        """Sum of n * chi(cls) / den over a multiset, from its family_terms,
+        for chi given by a form with one family at any integer s: a ps or
+        cusp form, or a kernel (0, 0, {fam: (2, s)}) of orthogonality.
 
         Cusp j is the pair of an eigenvalue dlog q + 1 - j, and the sign
         of +-s j is immaterial, so both families index by e or j directly.
+        The vector holds k times the sum, k = 2 for odd c and 1 for even c
+        (every ps, cusp and kernel form), so k c / 2 is an integer.
         """
-        base, pairs = terms[kind]
-        m = self.q - 1 if kind == "ps" else self.q + 1
+        chi_id, chi_unip, fams = form
+        n_id, n_unip, pairs = terms
+        ((fam, (c, s)),) = [(fam, cs) for fam, cs in fams.items() if cs]
+        k = 1 + c % 2
+        half_c = k * c // 2
+        m = self.q - 1 if fam == "split" else self.q + 1
         h = math.gcd(s, m)
         d, step = m // h, s // h
         vec = [0] * d
-        vec[0] = base
-        for e, n in pairs:
+        vec[0] = k * (chi_id * n_id + chi_unip * n_unip)
+        for e, n in pairs[fam]:
             i = e * step % d
+            n *= half_c
             vec[i] += n
             vec[-i] += n  # the exponent -i mod d; i = 0 lands twice on vec[0]
-        return CycNum._from_vector(d, vec, den)
+        return CycNum._from_vector(d, vec, k * den)
 
     def class_sum(self, rep: Label, classes: dict[Label, int]) -> CycNum:
         """Sum of n * chi_rep(cls) over a class multiset {cls: n}."""
-        self.check_rep(rep)
+        form = self.form(rep)  # also checks the label
         if rep[0] in ("ps", "cusp"):
-            return self.family_sum(rep[0], rep[1], self.family_terms(classes))
+            return self.family_sum(form, self.family_terms(classes))
         total: dict[int, int] = {}
         for cls, n in classes.items():
             if n:
@@ -371,13 +338,12 @@ class PGL2:
         """class_sum of rep over torus_classes(which). The family_terms of
         each multiset are memoized per group on first use, so each torus
         is split once for all the ps and cusp reps."""
-        self.check_rep(rep)
         if rep[0] not in ("ps", "cusp"):
             return self.class_sum(rep, self.torus_classes(which))
         terms = self._torus_terms.get(which)
         if terms is None:
             terms = self._torus_terms[which] = self.family_terms(self.torus_classes(which))
-        return self.family_sum(rep[0], rep[1], terms)
+        return self.family_sum(self.form(rep), terms)
 
     def invariant_dims(self, rep: Label) -> tuple[int, int]:
         """(dim of H-fixed vectors, dim of K-fixed vectors) in rep."""
@@ -401,131 +367,74 @@ class PGL2:
         square X this makes D X* / |G| a right inverse of X, hence a
         two-sided inverse, so (D X* / |G|) X = I, that is X* X = |G| D^-1:
         column orthogonality. The check therefore requires the table to be
-        square and then runs the row sums only, as _row_products gives
-        them.
+        square and then runs the row sums only, each four times over as
+        _row_products gives them, from the forms and the class sizes.
 
         Raises ConsistencyError on any failure; a passing run certifies the
         table (and hence every correlation computed from it) as the
         character table of a group of this order.
         """
         for r1, r2, val in self._row_products():
-            if val != (self.order if r1 == r2 else 0):
+            if val != (4 * self.order if r1 == r2 else 0):
                 raise ConsistencyError(f"row orthogonality fails at {r1}, {r2}")
 
     def _row_products(self):
-        """Yield (r1, r2, sum over classes of |cls| chi_r1 conj chi_r2)
-        for every pair of reps r1 <= r2 in reps() order, after checking
-        the preconditions of the kernel form below.
+        """Yield (r1, r2, 4 * sum over classes of |cls| chi_r1 conj chi_r2)
+        for every pair of reps r1 <= r2 in reps() order.
 
-        Every row product that meets a large family is summed by kernel.
-        With zeta a primitive (q^2 - 1)-th root of unity, write w for
-        zeta^(q+1), a primitive (q-1)-th root of unity, and put
+        Put B(s) = sum over split e of |split e| (w^(s e) + w^(-s e)), the
+        family_sum of the kernel form (0, 0, {"split": (2, s)}) over the
+        class sizes, and likewise over the elliptic classes with v for w.
+        On split class e the forms (c1, s1) and (c2, s2) give
+        4 chi_1 conj chi_2 = c1 c2 (w^(s1 e) + w^(-s1 e)) (w^(-s2 e) + w^(s2 e))
+        = c1 c2 (w^((s1 - s2) e) + w^(-(s1 - s2) e) + w^((s1 + s2) e)
+        + w^(-(s1 + s2) e)), so summed with the class sizes it is
+        c1 c2 (B(s1 - s2) + B(s1 + s2)); the elliptic classes are the same
+        with v. Hence
 
-            B(s) = sum over split e of |split e| (w^(s e) + w^(-s e))
+            4 sum |cls| chi_1 conj chi_2 = 4 (|id| chi_1(id) chi_2(id)
+                + |unip| chi_1(unip) chi_2(unip))
+                + sum over families of c1 c2 (B(s1 - s2) + B(s1 + s2)),
 
-        for s modulo q - 1, and C(s) the same sum over the elliptic classes
-        j with v = zeta^(q-1) for w, for s modulo q + 1: B(s) is the
-        family_sum of ps s over the split class sizes, and C(s) minus that
-        of cusp s over the elliptic ones. On split class e, ps r is
-        w^(r e) + w^(-r e), so chi_r1 conj(chi_r2) there is the four terms
-        w^(+-(r1 - r2) e) + w^(+-(r1 + r2) e), which summed over e with the
-        class sizes give B(r1 - r2) + B(r1 + r2). On elliptic class j, cusp
-        r is -(v^(r j) + v^(-r j)); the two minus signs cancel and the same
-        regrouping gives C(r1 - r2) + C(r1 + r2). ps vanishes on the
-        elliptic classes and cusp on the split ones, so a ps-ps or
-        cusp-cusp product is the integer id and unip terms plus two kernel
-        values, and a ps-cusp product is the id and unip terms alone.
-
-        The four small reps (triv, eta, st, steta) are s (-1)^(t x) on the
-        split classes x = e and on the elliptic classes x = j, for a sign
-        s = +-1 and a parity t in {0, 1} per rep and family. Since w has
-        order q - 1, (-1)^e = w^(e (q-1)/2), so on split class e the small
-        rep times ps r is s (w^((r + t (q-1)/2) e) + w^(-(r + t (q-1)/2) e)),
-        and summed with the class sizes that is s B(r + t (q-1)/2); on the
-        elliptic classes (-1)^j = v^(j (q+1)/2) likewise gives
-        -s C(r + t (q+1)/2) against cusp r. A small-family product is
-        therefore the id and unip terms plus one kernel value.
-
-        Each regrouping only reorders the exponent multiset of the
-        class-by-class sum, and reduction is additive, so each value is
-        exactly the class-by-class row sum, provided the table has these
-        forms. So the family values of every ps and cusp entry, the sign
-        forms of the four small rows, and integer entries on id and unip
-        are all checked first, in O(classes) per row. The kernels read the
-        class sizes, so a wrong size still shows in the row sums. Only the
-        10 small-small pairs keep the class-by-class _row_product. Each
-        kernel value is reduced once (B(s) = B(-s), C(s) = C(-s)), so the
-        products cost O(q^2) integer work and O(q) reductions instead of
-        one reduction per pair of reps.
+        a family where either form is None adding nothing. The regrouping
+        only reorders the exponent multiset of the class-by-class sum, for
+        any class sizes and any (c, s), and reduction is additive, so each
+        value is exactly four times the class-by-class row sum. The table
+        is the forms (char_counter evaluates them), so no precondition is
+        left to check, and a wrong class size still shows in the sums.
+        Each kernel value is reduced once (B(s) = B(-s)) and kept as an
+        int when it is rational, so the products cost O(q^2) integer work
+        and O(q) reductions.
         """
-        q = self.q
-        kk = q * q - 1
         reps = self.reps()
         if len(reps) != len(self.classes):
             raise ConsistencyError("character table is not square")
-        rows = {rep: [self.char_counter(rep, cls) for cls in self.classes] for rep in reps}
-        sizes = [self.class_size[cls] for cls in self.classes]
-        ends = [self.class_index[("id",)], self.class_index[("unip",)]]
-        home = {"ps": "split", "cusp": "ell"}
-        step = {"split": q + 1, "ell": q - 1}  # dlog of the family's root
-        at = {fam: [(i, c[1]) for i, c in enumerate(self.classes) if c[0] == fam] for fam in step}
-        # the preconditions of the kernels: integer entries on id and unip,
-        # family values of ps and cusp, sign forms of the small rows
-        forms: dict[Label, dict[str, tuple[int, int]]] = {}
-        for rep in reps:
-            row = rows[rep]
-            if rep[0] not in home:
-                for i in ends:
-                    if not row[i].keys() <= {0}:
-                        raise ConsistencyError(
-                            f"small row {rep} on {self.classes[i]} is not an integer"
-                        )
-                forms[rep] = {fam: _sign_form(row, at[fam], rep, fam) for fam in step}
-                continue
-            fam, sign = home[rep[0]], 1 if rep[0] == "ps" else -1
-            for i, (cls, got) in enumerate(zip(self.classes, row)):
-                if i in ends:
-                    ok = got.keys() <= {0}
-                elif cls[0] == fam:
-                    ok = got == _pm_counter(rep[1] * cls[1] * step[fam], kk, sign)
-                else:
-                    ok = not got
-                if not ok:
-                    raise ConsistencyError(f"{rep} on {cls} is not its family value")
-        end_sizes = [sizes[j] for j in ends]
-        at_ends = {rep: [rows[rep][j].get(0, 0) for j in ends] for rep in reps}
-        terms = self.family_terms({c: n for c, n in zip(self.classes, sizes) if c[0] in step})
+        forms = {rep: self.form(rep) for rep in reps}
+        terms = self.family_terms(self.class_size)
+        n_id, n_unip, _ = terms
         kernels: dict[tuple[str, int], CycNum | int] = {}
 
-        def kernel(kind: str, s: int) -> CycNum | int:
-            """B(s) for "ps", C(s) for "cusp", as an int when it is rational
-            (a rational sum of roots of unity with integer weights is an
-            integer, and int sums are far cheaper)."""
-            m = q - 1 if kind == "ps" else q + 1
-            s = min(s % m, -s % m)  # B(s) = B(-s), C(s) = C(-s)
-            val = kernels.get((kind, s))
+        def kernel(fam: str, s: int) -> CycNum | int:
+            """B(s) of the family, as an int when it is rational (a rational
+            sum of roots of unity with integer weights is an integer)."""
+            m = self.q - 1 if fam == "split" else self.q + 1
+            s = min(s % m, -s % m)
+            val = kernels.get((fam, s))
             if val is None:
-                val = self.family_sum(kind, s, terms)
+                val = self.family_sum((0, 0, {fam: (2, s)}), terms)
                 rat = val.as_rational()
-                if rat is not None:
-                    val = rat.numerator
-                kernels[(kind, s)] = val if kind == "ps" else -val
-            return kernels[(kind, s)]
+                val = kernels[(fam, s)] = val if rat is None else rat.numerator
+            return val
 
         for i, r1 in enumerate(reps):
+            id1, u1, fams1 = forms[r1]
             for r2 in reps[i:]:
-                small = [r for r in (r1, r2) if r[0] not in home]
-                if len(small) == 2:
-                    yield r1, r2, _row_product(kk, sizes, rows[r1], rows[r2])
-                    continue
-                val = sum(n * a * b for n, a, b in zip(end_sizes, at_ends[r1], at_ends[r2]))
-                if small:
-                    (kind, r), = [x for x in (r1, r2) if x[0] in home]
-                    s, t = forms[small[0]][home[kind]]
-                    m = q - 1 if kind == "ps" else q + 1
-                    val += (s if kind == "ps" else -s) * kernel(kind, r + t * m // 2)
-                elif r1[0] == r2[0]:
-                    val += kernel(r1[0], r1[1] - r2[1]) + kernel(r1[0], r1[1] + r2[1])
+                id2, u2, fams2 = forms[r2]
+                val = 4 * (n_id * id1 * id2 + n_unip * u1 * u2)
+                for fam, cs1 in fams1.items():
+                    if cs1 and fams2[fam]:
+                        (c1, s1), (c2, s2) = cs1, fams2[fam]
+                        val += c1 * c2 * (kernel(fam, s1 - s2) + kernel(fam, s1 + s2))
                 yield r1, r2, val
 
     def describe(self) -> dict:

@@ -145,6 +145,28 @@ def test_verify_shintani_selector(capsys):
     assert "character-sum lemmas" in out
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--suite", "shintani", "--p", "5"], "--p"),
+        (["--suite", "shintani", "--p", "3", "--f-base", "2"], "--f-base"),
+        (["--suite", "shintani", "--p", "3", "--f", "2", "--ext", "2"], "--f"),
+        (["--suite", "regular", "--f", "2"], "--f"),
+        (["--suite", "chartable", "--p", "7", "--ext", "2"], "--ext"),
+        (["--suite", "epsilon", "--p", "5", "--f-base", "1"], "--f-base"),
+        (["--suite", "all", "--p", "5"], "--p"),
+        (["--suite", "all", "--f", "1"], "--f"),
+        (["--suite", "all", "--ext", "2"], "--ext"),
+    ],
+)
+def test_verify_refuses_an_ignored_field_option(capsys, argv, option):
+    # an option the suite would not read exits 2 before any check runs
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert f"would ignore {option}" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_verify_corollary_scan(capsys):
     assert main(["verify", "--suite", "corollary-scan", "--p", "3", "--f", "2"]) == 0
     out = capsys.readouterr().out

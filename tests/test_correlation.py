@@ -250,18 +250,20 @@ def test_shifted_kernel_exponent_disagrees_with_reference(p, f):
     counts = pair_class_counts(g)
     kk = g.q**2 - 1
     terms = g.family_terms(counts)
+    n_id, n_unip, pairs = terms
     for rep in g.reps():
         if rep[0] not in ("ps", "cusp"):
             continue
         kind, r = rep
-        assert g.family_sum(kind, r, terms, den=kk) == corr_constant(g, rep)
-        base, pairs = terms[kind]
-        (e, n), rest = pairs[0], pairs[1:]
+        form = g.form(rep)
+        assert g.family_sum(form, terms, den=kk) == corr_constant(g, rep)
+        fam = "split" if kind == "ps" else "ell"
+        (e, n), rest = pairs[fam][0], pairs[fam][1:]
         m = g.q - 1 if kind == "ps" else g.q + 1  # classes 1..m/2
         near = sorted(range(1, m // 2 + 1), key=lambda x: abs(x - e))
         moved = next(x for x in near if r * (x - e) % m and r * (x + e) % m)
-        shifted = {**terms, kind: (base, [(moved, n), *rest])}
-        bad = g.family_sum(kind, r, shifted, den=kk)
+        shifted = (n_id, n_unip, {**pairs, fam: [(moved, n), *rest]})
+        bad = g.family_sum(form, shifted, den=kk)
         assert bad != reference_corr_constant(g, rep, counts)
 
 
@@ -282,7 +284,7 @@ def test_explicit_counts_bypass_the_memo():
     moved = pair_class_counts(g)
     moved[("split", 1)] += 1
     moved[("split", 3)] -= 1
-    got = g.family_sum(*rep, g.family_terms(moved), den=g.q**2 - 1)
+    got = g.family_sum(g.form(rep), g.family_terms(moved), den=g.q**2 - 1)
     assert got == reference_corr_constant(g, rep, moved)
     assert got != corr_constant(g, rep)
 

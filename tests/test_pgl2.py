@@ -7,7 +7,7 @@ import pytest
 from toric_correlator import CycNum, PGL2
 from toric_correlator.correlation import pair_class_counts
 from toric_correlator.fields import ConsistencyError
-from toric_correlator.pgl2 import _row_product, mat_det, mat_mul
+from toric_correlator.pgl2 import mat_det, mat_mul
 
 
 def _mat_inv(t, x):
@@ -124,6 +124,64 @@ def test_dims_sum_of_squares(g5, g7, g9):
         assert sum(g.dim(rep) ** 2 for rep in g.reps()) == g.order
 
 
+def _pm_counter(ex, kk, sign):
+    """sign * (zeta^ex + zeta^-ex) as an exponent counter modulo kk."""
+    out = {}
+    for x in (ex % kk, -ex % kk):
+        out[x] = out.get(x, 0) + sign
+    return out
+
+
+def reference_char_counter(g, rep, cls):
+    """Reference: chi_rep(cls) as an exponent counter modulo q^2 - 1,
+    written class by class, independently of g.form."""
+    g.check_rep(rep)
+    q = g.q
+    kind, ckind = rep[0], cls[0]
+    if kind == "triv":
+        return {0: 1}
+    if kind == "eta":
+        sign = 1 if ckind in ("id", "unip") else (-1) ** cls[1]
+        return {0: sign}
+    if kind == "st":
+        return {"id": {0: q}, "unip": {}, "split": {0: 1}, "ell": {0: -1}}[ckind]
+    if kind == "steta":
+        base = reference_char_counter(g, ("st",), cls)
+        if ckind in ("split", "ell") and cls[1] % 2:
+            return {e: -c for e, c in base.items()}
+        return base
+    r = rep[1]
+    kk = q * q - 1
+    if kind == "ps":
+        if ckind == "id":
+            return {0: q + 1}
+        if ckind == "unip":
+            return {0: 1}
+        if ckind == "ell":
+            return {}
+        return _pm_counter(r * cls[1] * (q + 1), kk, 1)
+    if ckind == "id":
+        return {0: q - 1}
+    if ckind == "unip":
+        return {0: -1}
+    if ckind == "split":
+        return {}
+    ee = q + 1 - cls[1]  # an eigenvalue dlog with this angle
+    return _pm_counter(r * ee * (q - 1), kk, -1)
+
+
+def _row_product(kk, sizes, row1, row2):
+    """Reference: sum over classes of |cls| chi_1(cls) conj chi_2(cls),
+    class by class, from two rows of exponent counters."""
+    total = {}
+    for sz, c1, c2 in zip(sizes, row1, row2):
+        for e1, a in c1.items():
+            for e2, b in c2.items():
+                ex = (e1 - e2) % kk
+                total[ex] = total.get(ex, 0) + sz * a * b
+    return CycNum.from_counter(kk, total)
+
+
 def test_char_value_at_identity_is_dim(g7):
     g = g7
     for rep in g.reps():
@@ -197,26 +255,65 @@ def test_row_orthogonality_reference(p, f):
     row_orthogonality(g)
 
 
-def _perturb_entry(g, rep0, cls0, ex=0):
-    """Add zeta^ex to the table entry at (rep0, cls0)."""
-    real = g.char_counter
+@pytest.mark.parametrize("p, f", ODD_Q_TO_49)
+def test_char_counter_matches_reference(p, f):
+    # char_counter evaluates the forms; the table written class by class
+    # stays its reference
+    g = PGL2(p, f)
+    kk = g.q**2 - 1
+    for rep in g.reps():
+        for cls in g.classes:
+            want = CycNum.from_counter(kk, reference_char_counter(g, rep, cls))
+            got = g.char_value(rep, cls)
+            assert got == want and got.k == want.k and got.den == want.den, (rep, cls)
 
-    def counter(rep, cls):
-        out = dict(real(rep, cls))
-        if (rep, cls) == (rep0, cls0):
-            out[ex] = out.get(ex, 0) + 1
-        return out
 
-    g.char_counter = counter
+def _edit_form(g, rep0, edit):
+    """Patch g.form so that the form of rep0 carries one edit. Edits
+    name a family ("split" or "ell") and a change of its term (c, s):
+    "c negated", "c plus one", "s moved" (s to m/2 - s, so 0 and m/2
+    swap), "s shifted" (s + 1), "term added" (a family where chi vanished
+    gets (2, 1)); or "id plus one", "unip plus one"."""
+    real = g.form
+    chi_id, chi_unip, fams = real(rep0)
+    if edit == "id plus one":
+        chi_id += 1
+    elif edit == "unip plus one":
+        chi_unip += 1
+    else:
+        fam, change = edit.split(" ", 1)
+        c, s = fams[fam] or (0, 0)
+        half = (g.q - 1 if fam == "split" else g.q + 1) // 2
+        fams = {**fams, fam: {
+            "c negated": (-c, s),
+            "c plus one": (c + 1, s),
+            "s moved": (c, half - s),
+            "s shifted": (c, s + 1),
+            "term added": (2, 1),
+        }[change]}
+    edited = chi_id, chi_unip, fams
+    assert edited != real(rep0)
+    g.form = lambda rep: edited if rep == rep0 else real(rep)
+
+
+def _assert_rejected(g):
+    """Both the kernel check and the class-by-class reference fail."""
+    with pytest.raises(ConsistencyError, match="row orthogonality"):
+        g.orthogonality_check()
+    with pytest.raises(ConsistencyError, match="row orthogonality"):
+        row_orthogonality(g)
+
+
+def _assert_entry_changed(g, rep, cls):
+    want = CycNum.from_counter(g.q**2 - 1, reference_char_counter(g, rep, cls))
+    assert g.char_value(rep, cls) != want
 
 
 def test_orthogonality_check_rejects_a_perturbed_table():
-    # st on split 1 becomes 2, which no sign form +-1 or +-(-1)^x allows,
-    # so the small-row precondition trips before any row sum
+    # st on every split class becomes 2 instead of 1
     g = PGL2(5, 1)
-    _perturb_entry(g, ("st",), ("split", 1))
-    with pytest.raises(ConsistencyError, match="small row"):
-        g.orthogonality_check()
+    _edit_form(g, ("st",), "split c plus one")
+    _assert_rejected(g)
     with pytest.raises(ConsistencyError, match="column orthogonality"):
         column_orthogonality(g)
     # one unit of size moved between classes keeps the total, so the
@@ -234,25 +331,51 @@ def test_orthogonality_check_rejects_a_perturbed_table():
         g.orthogonality_check()
 
 
+EDITED_REPS = [("triv",), ("eta",), ("st",), ("steta",), ("ps", 2), ("cusp", 2)]
+HOME = {"ps": "split", "cusp": "ell"}
+
+
+def _form_edits():
+    """(rep, edit) for every edit each check must reject: c negated, s
+    moved between 0 and m/2 or shifted by 1 on each family the rep lives
+    on, chi(id) + 1, chi(unip) + 1, and a ps or cusp rep given a term on
+    the other family."""
+    out = []
+    for rep in EDITED_REPS:
+        fams = [HOME[rep[0]]] if rep[0] in HOME else ["split", "ell"]
+        edits = ["id plus one", "unip plus one"]
+        edits += [f"{fam} {e}" for fam in fams for e in ("c negated", "s moved", "s shifted")]
+        if rep[0] in HOME:
+            edits.append(f"{'ell' if rep[0] == 'ps' else 'split'} term added")
+        out += [pytest.param(rep, e, id=f"{':'.join(map(str, rep))}-{e}") for e in edits]
+    return out
+
+
+@pytest.mark.parametrize("p, f", [(11, 1), (5, 2)])
+@pytest.mark.parametrize("rep, edit", _form_edits())
+def test_orthogonality_check_rejects_an_edited_form(p, f, rep, edit):
+    g = PGL2(p, f)
+    _edit_form(g, rep, edit)
+    _assert_rejected(g)
+
+
 FAMILY_ENTRY_EDITS = {
-    "ps on a split class": (("ps", 2), ("split", 3)),
-    "cusp on an elliptic class": (("cusp", 2), ("ell", 3)),
-    "ps on an elliptic class": (("ps", 2), ("ell", 3)),
-    "cusp on a split class": (("cusp", 2), ("split", 3)),
-    "irrational ps at the identity": (("ps", 1), ("id",)),
+    "ps on a split class": (("ps", 2), ("split", 3), "split s shifted"),
+    "cusp on an elliptic class": (("cusp", 2), ("ell", 3), "ell s shifted"),
+    "ps on an elliptic class": (("ps", 2), ("ell", 1), "ell term added"),
+    "cusp on a split class": (("cusp", 2), ("split", 1), "split term added"),
 }
 
 
 @pytest.mark.parametrize("p, f", [(11, 1), (5, 2)])
 @pytest.mark.parametrize("edit", FAMILY_ENTRY_EDITS)
 def test_orthogonality_check_rejects_a_wrong_family_entry(p, f, edit):
+    # a form edit of the family reaches the entry at this class
     g = PGL2(p, f)
-    # zeta^(q+1) has order q - 1 > 2, so it is irrational
-    _perturb_entry(g, *FAMILY_ENTRY_EDITS[edit], ex=g.q + 1)
-    with pytest.raises(ConsistencyError, match="family value"):
-        g.orthogonality_check()
-    with pytest.raises(ConsistencyError, match="row orthogonality"):
-        row_orthogonality(g)
+    rep, cls, form_edit = FAMILY_ENTRY_EDITS[edit]
+    _edit_form(g, rep, form_edit)
+    _assert_entry_changed(g, rep, cls)
+    _assert_rejected(g)
 
 
 @pytest.mark.parametrize("p, f", [(11, 1), (5, 2)])
@@ -284,7 +407,8 @@ SMALL_REPS = [("triv",), ("eta",), ("st",), ("steta",)]
 
 def _move_sizes(g):
     """Class sizes no longer those of the group, with the same split and
-    elliptic classes: every small-family row product then reads them."""
+    elliptic classes: every row product that meets a family then reads
+    them."""
     g.class_size = dict(g.class_size)
     for cls in g.classes:
         if cls[0] in ("split", "ell"):
@@ -294,23 +418,23 @@ def _move_sizes(g):
 @pytest.mark.parametrize("p, f", ODD_Q_TO_49)
 @pytest.mark.parametrize("moved", [False, True])
 def test_small_family_products_match_row_product(p, f, moved):
-    # each small x ps/cusp product is integer id/unip terms plus one kernel
-    # value; the class-by-class _row_product stays its reference, on the
-    # group's class sizes (every product 0) and on moved ones (not 0)
+    # every row product from the forms is 4 times the class-by-class
+    # _row_product of the reference table, on the group's class sizes
+    # (every product off the diagonal 0) and on moved ones (not all 0)
     g = PGL2(p, f)
     if moved:
         _move_sizes(g)
     kk = g.q**2 - 1
     sizes = [g.class_size[c] for c in g.classes]
-    rows = {rep: [g.char_counter(rep, c) for c in g.classes] for rep in g.reps()}
+    rows = {rep: [reference_char_counter(g, rep, c) for c in g.classes] for rep in g.reps()}
     seen = nonzero = 0
     for r1, r2, val in g._row_products():
-        if (r1 in SMALL_REPS) != (r2 in SMALL_REPS):
-            want = _row_product(kk, sizes, rows[r1], rows[r2])
-            assert val == want, (r1, r2)
-            seen += 1
-            nonzero += bool(want)
-    assert seen == 4 * (len(g.reps()) - 4)
+        want = _row_product(kk, sizes, rows[r1], rows[r2])
+        assert val == 4 * want, (r1, r2)
+        seen += 1
+        nonzero += r1 != r2 and bool(want)
+    n = len(g.reps())
+    assert seen == n * (n + 1) // 2
     assert bool(nonzero) == moved
 
 
@@ -319,43 +443,22 @@ def test_small_family_products_match_row_product(p, f, moved):
 @pytest.mark.parametrize("cls", [("split", 3), ("ell", 1), ("ell", 4)])
 @pytest.mark.parametrize("edit", ["plus one", "irrational", "negated"])
 def test_orthogonality_check_rejects_a_wrong_small_entry(p, f, rep, cls, edit):
+    # an edit of the form's term on the family of cls (c + 1, s + 1 or
+    # -c) reaches the entry at cls, and both checks reject the table
     g = PGL2(p, f)
-    real = g.char_counter
-
-    def counter(r, c):
-        out = dict(real(r, c))
-        if (r, c) == (rep, cls):
-            if edit == "negated":
-                out = {e: -n for e, n in out.items()}
-            else:
-                ex = 0 if edit == "plus one" else g.q + 1
-                out[ex] = out.get(ex, 0) + 1
-        return out
-
-    g.char_counter = counter
-    with pytest.raises(ConsistencyError, match="small row"):
-        g.orthogonality_check()
-    with pytest.raises(ConsistencyError, match="row orthogonality"):
-        row_orthogonality(g)
-
-
-def test_orthogonality_check_rejects_an_irrational_small_entry_at_the_identity():
-    g = PGL2(11, 1)
-    _perturb_entry(g, ("st",), ("id",), ex=g.q + 1)
-    with pytest.raises(ConsistencyError, match="small row"):
-        g.orthogonality_check()
+    change = {"plus one": "c plus one", "irrational": "s shifted", "negated": "c negated"}
+    _edit_form(g, rep, f"{cls[0]} {change[edit]}")
+    _assert_entry_changed(g, rep, cls)
+    _assert_rejected(g)
 
 
 def test_a_small_row_of_the_wrong_sign_form_reaches_the_row_sums():
-    # st with -1 on every split class is a sign form, so the precondition
-    # passes it on, and the row sums must catch it
+    # st with -1 on every split class is still +-1 there, and the row
+    # sums must catch it
     g = PGL2(11, 1)
-    real = g.char_counter
-    g.char_counter = lambda r, c: (
-        {0: -1} if r == ("st",) and c[0] == "split" else real(r, c)
-    )
-    with pytest.raises(ConsistencyError, match="row orthogonality"):
-        g.orthogonality_check()
+    _edit_form(g, ("st",), "split c negated")
+    assert g.char_counter(("st",), ("split", 1)) == {0: -1}
+    _assert_rejected(g)
 
 
 def _classify_each(g, mats):
@@ -466,10 +569,10 @@ def test_invariant_dims_see_a_moved_class_count(p, f, which, family):
 
 def _char_counter_sum(g, rep, ms):
     """Reference: sum of n * chi_rep(cls) over ms, class by class through
-    char_counter, reduced at conductor q^2 - 1."""
+    reference_char_counter, reduced at conductor q^2 - 1."""
     total = {}
     for cls, n in ms.items():
-        for e, c in g.char_counter(rep, cls).items():
+        for e, c in reference_char_counter(g, rep, cls).items():
             total[e] = total.get(e, 0) + n * c
     return CycNum.from_counter(g.q**2 - 1, total)
 
@@ -486,19 +589,19 @@ def test_family_sum_matches_char_counter_sum(p, f, monkeypatch):
             want = _char_counter_sum(g, rep, ms)
             got = g.class_sum(rep, ms)
             assert got == want and got.k == want.k
-    # char_counter's ps and cusp formulas hold at every integer s; only the
-    # label check keeps s in 1..(q-3)/2, resp. 1..(q-1)/2. Orthogonality
-    # reads the family sums at s = r1 +- r2, which include 0, (q -+ 1)/2
-    # and negative s.
+    # the ps and cusp forms hold at every integer s; only the label check
+    # keeps s in 1..(q-3)/2, resp. 1..(q-1)/2. Orthogonality reads the
+    # family sums at s = r1 +- r2, which include 0, (q -+ 1)/2 and
+    # negative s.
     monkeypatch.setattr(g, "check_rep", lambda rep: None)
     for ms in multisets:
         terms = g.family_terms(ms)
         for kind, m in (("ps", g.q - 1), ("cusp", g.q + 1)):
             for s in range(-m, m):
                 want = _char_counter_sum(g, (kind, s), ms)
-                got = g.family_sum(kind, s, terms)
+                got = g.family_sum(g.form((kind, s)), terms)
                 assert got == want and got.k == want.k
-                assert g.family_sum(kind, s, terms, den=kk) == want / kk
+                assert g.family_sum(g.form((kind, s)), terms, den=kk) == want / kk
 
 
 def test_invariant_dims_multiplicity_one(g7, g9):
