@@ -21,13 +21,12 @@ folded through the invariant tr^2/det, whose multiplicities come from
 one packed convolution of two histograms over subfield discrete logs,
 so that only O(q) of them are classified one by one), and
 PGL2.torus_classes, the class multisets of the trace-zero products
-h k_0 and h_0 k. Per representation only the
-character values are summed against these class counts, by
-PGL2.family_sum (the principal and cuspidal series, on the family_terms
-of the pair counts, also memoized) or PGL2.class_sum, and the constant
-itself is memoized on the group too, so correlate_all, regular_identity,
-the mod-p reports, the base-change reports and the CLI all share one
-value per representation. The regular identity embeds every memoized
+h k_0 and h_0 k. Per representation only the character values are
+summed against these class counts, by PGL2.terms_sum on the family_terms
+of the pair counts (also memoized), and the constant itself is memoized
+on the group too, so correlate_all, regular_identity, the mod-p reports,
+the base-change reports and the CLI all share one value per
+representation. The regular identity embeds every memoized
 constant, times q^2 - 1, at conductor q^2 - 1 into one integer counter
 and reduces it once, so it checks exactly the values that correlate_all
 reports.
@@ -126,7 +125,7 @@ def corr_constant(g: PGL2, rep: Label) -> CycNum:
         if rep[0] in ("ps", "cusp"):
             val = g.family_sum(g.form(rep), g._pair_terms, den=kk)
         else:
-            val = g.class_sum(rep, g._pair_counts) / kk
+            val = g.terms_sum(rep, g._pair_terms) / kk
         g._const_cache[rep] = val
     return val
 

@@ -246,8 +246,13 @@ def element_order_check(a: list[int], m: list[int], p: int, n: int) -> bool:
     return True
 
 
+# (p, m) -> the first primitive modulus, for the whole process
+_MODULUS_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
 def first_primitive_modulus(p: int, m: int) -> list[int]:
-    """Lexicographically first monic primitive polynomial of degree m over F_p.
+    """Lexicographically first monic primitive polynomial of degree m over F_p,
+    as a new list on each call.
 
     Candidates c0 + c1 X + ... + X^m are scanned with (c0, ..., c_{m-1}) in
     lexicographic order, so ties break toward small low-degree coefficients
@@ -258,7 +263,20 @@ def first_primitive_modulus(p: int, m: int) -> list[int]:
     - X must have order exactly p^m - 1 modulo f. Its powers are then
       p^m - 1 distinct units of F_p[X]/(f), so that ring is a field and f
       is irreducible without a separate test.
+
+    The result depends on (p, m) alone, so it is kept per process in
+    _MODULUS_CACHE, as cyclo keeps its factorizations, and not per group:
+    every group over the same field would scan to the same modulus. Towers
+    ask only for p^m <= fields.TABLE_CAP, about two hundred (p, m) in all,
+    so the memo stays at a few kilobytes.
     """
+    cached = _MODULUS_CACHE.get((p, m))
+    if cached is None:
+        cached = _MODULUS_CACHE[(p, m)] = tuple(_scan_primitive_modulus(p, m))
+    return list(cached)
+
+
+def _scan_primitive_modulus(p: int, m: int) -> list[int]:
     order = p**m - 1
     sign = (-1) ** m
     unit_primes = factorint(p - 1)

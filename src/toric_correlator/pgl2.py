@@ -31,9 +31,11 @@ vector at conductor d and reduces it once, with any denominator passed
 into that reduction; nothing is built at conductor q^2 - 1. family_terms
 splits a multiset once into its raw counts, so every form summed over it
 shares the split; torus_sum keeps that split per torus multiset on the
-group. The four small reps keep the char_counter sum and one from_counter
-reduction. orthogonality_check sums every row product from the two forms:
-the id and unip terms plus, per family, c1 c2 times two kernel values.
+group. The four small reps read the same split: their s is 0 or a half
+period, so each term is +-c at exponent 0 or (q^2 - 1)/2, and one
+from_counter reduction ends the sum. orthogonality_check sums every row
+product from the two forms: the id and unip terms plus, per family,
+c1 c2 times two kernel values.
 
 H is the split torus {diag(a, 1)} and K the non-split torus, realized as
 multiplication by 1 + z*sqrt(alpha) on the plane with basis {1,
@@ -324,26 +326,38 @@ class PGL2:
 
     def class_sum(self, rep: Label, classes: dict[Label, int]) -> CycNum:
         """Sum of n * chi_rep(cls) over a class multiset {cls: n}."""
-        form = self.form(rep)  # also checks the label
-        if rep[0] in ("ps", "cusp"):
-            return self.family_sum(form, self.family_terms(classes))
-        total: dict[int, int] = {}
-        for cls, n in classes.items():
-            if n:
-                for e, c in self.char_counter(rep, cls).items():
-                    total[e] = total.get(e, 0) + n * c
-        return CycNum.from_counter(self.q**2 - 1, total)
+        return self.terms_sum(rep, self.family_terms(classes))
 
     def torus_sum(self, rep: Label, which: str) -> CycNum:
         """class_sum of rep over torus_classes(which). The family_terms of
         each multiset are memoized per group on first use, so each torus
-        is split once for all the ps and cusp reps."""
-        if rep[0] not in ("ps", "cusp"):
-            return self.class_sum(rep, self.torus_classes(which))
+        is split once for all reps."""
         terms = self._torus_terms.get(which)
         if terms is None:
             terms = self._torus_terms[which] = self.family_terms(self.torus_classes(which))
-        return self.family_sum(self.form(rep), terms)
+        return self.terms_sum(rep, terms)
+
+    def terms_sum(self, rep: Label, terms: tuple) -> CycNum:
+        """class_sum of rep over a multiset given by its family_terms.
+
+        ps and cusp go through family_sum. A small rep's s is 0 or half the
+        period m of its family, so w^(s e) (or v^(s j)) is +1 when s e = 0
+        mod m and -1 otherwise: every term sits at exponent 0 or
+        (q^2 - 1)/2, which one pass over the terms fills before a single
+        from_counter reduction.
+        """
+        form = self.form(rep)  # also checks the label
+        if rep[0] in ("ps", "cusp"):
+            return self.family_sum(form, terms)
+        chi_id, chi_unip, fams = form
+        n_id, n_unip, pairs = terms
+        kk = self.q**2 - 1
+        total = {0: chi_id * n_id + chi_unip * n_unip, kk // 2: 0}
+        for fam, (c, s) in fams.items():
+            m = self.q - 1 if fam == "split" else self.q + 1
+            for e, n in pairs[fam]:
+                total[kk // 2 if s * e % m else 0] += c * n
+        return CycNum.from_counter(kk, total)
 
     def invariant_dims(self, rep: Label) -> tuple[int, int]:
         """(dim of H-fixed vectors, dim of K-fixed vectors) in rep."""

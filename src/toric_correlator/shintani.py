@@ -28,8 +28,8 @@ The operator realizing sigma on the induced model is
             Ttilde f_lam  = f(inf) + sum over mu != lam of
                             chi(-(lam - mu)^2) f_(mu^sigma)
 
-T is checked to intertwine (T pi(g) = pi(g^sigma) T on generators), to be
-unitary, to satisfy T^ext = 1, to fix v_H, and to send v_K to the
+T is checked to intertwine (T pi(g) = pi(g^sigma) T on three generators),
+to be unitary, to satisfy T^ext = 1, to fix v_H, and to send v_K to the
 conjugate-torus vector for alpha^sigma (scaled by -chi(1/alpha) in the
 cusp case). Every entry of Ttilde is 0 or a root of unity, so its q + 2
 columns are tabulated once per operator as key -> zeta exponent. Each
@@ -41,10 +41,10 @@ indexed by basis position, with None for a zero entry, and inverts each
 twisted generator once into (source position, shift) per position, so
 each (generator, key) test compares two lists.
 
-check_all checks intertwining first, on every basis column and on
-generators of PGL2(E), so Ttilde pi(g) = pi(g^sigma) Ttilde then holds
-for every g. The other checks rest on it and read at most four
-coordinates each. Ttilde^ext (sigma^ext fixes E) and Ttilde* Ttilde (pi
+check_all checks intertwining first, on every basis column and on the
+generators diag(gamma, 1), w and u_1 of PGL2(E), so Ttilde pi(g) =
+pi(g^sigma) Ttilde then holds for every g. The other checks rest on it
+and read at most four coordinates each. Ttilde^ext (sigma^ext fixes E) and Ttilde* Ttilde (pi
 is unitary) commute with pi, so each is decided by its image of e_inf,
 as every basis vector is pi(g) e_inf for g = 1, w or u(-lam) w. That
 image is fixed by the translations, hence c e_inf + d sum of the f_lam,
@@ -229,21 +229,28 @@ class ShintaniOperator:
     # -- invariant checks ---------------------------------------------------
 
     def _generators(self) -> list[tuple[MonoMap, MonoMap]]:
-        """(action, sigma-twisted action) pairs spanning the group, as
-        the model's monomial tables."""
+        """(action, sigma-twisted action) pairs for diag(gamma, 1), w and
+        u_1, as the model's monomial tables. These three generate PGL2(E).
+
+        The g with Ttilde pi(g) = pi(g^sigma) Ttilde form a subgroup, as
+        g -> g^sigma is an automorphism: if g and h pass, then
+        Ttilde pi(g h) = pi(g^sigma) Ttilde pi(h) = pi((g h)^sigma) Ttilde,
+        and a finite set closed under products is a group. So passing on
+        generators is passing on the whole group. diag(gamma, 1)^i u_1
+        diag(gamma, 1)^-i = u_(gamma^i), and the gamma^i run over E^*, so
+        diag(gamma, 1) and u_1 give every translation u_b, and with them
+        the upper triangular group B modulo the centre. The Bruhat
+        decomposition PGL2(E) = B + B w B then makes w the last generator.
+        """
         g = self.g
         m = self.model
         w = m.w()
-        gens = [
+        u1 = m.u(g.tower.one)  # sigma fixes u_1 and w
+        return [
             (m.diag(g.sub_exp(1)), m.diag(g.sub_exp(self.q_base % self.kk))),
             (w, w),
+            (u1, u1),
         ]
-        # b = gamma^0 .. gamma^(f-1) span E over F_p, so these u_b generate
-        # every translation
-        for i in range(g.f):
-            b = g.sub_exp(i % self.kk)
-            gens.append((m.u(b), m.u(self.sigma(b))))
-        return gens
 
     def intertwining_check(self) -> None:
         """T pi(g) = pi(g^sigma) T on every basis vector and generator,

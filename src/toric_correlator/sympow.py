@@ -41,7 +41,7 @@ from .correlation import corr_constant
 from .cyclo import CycNum
 from .fields import ConsistencyError, FqElem
 from .modp import base_digits, distinguished_handle, lucas_binom, rep_conductor
-from .pgl2 import PGL2, Label, Mat, mat_det
+from .pgl2 import PGL2, Label, Mat, mat_det, mat_mul
 
 Vector = dict[tuple[int, ...], FqElem]
 
@@ -75,6 +75,7 @@ class SymPowModule:
         q = g.q
         # combined determinant weight mod q-1
         self.det_weight = sum(m * g.p**i for i, m in enumerate(cons.det)) % (q - 1)
+        self._e0 = g.tower.add(g.tower.one, g.sqrt_alpha)  # dlog of 1 + sqrt(alpha)
 
     # -- action -----------------------------------------------------------
 
@@ -141,40 +142,63 @@ class SymPowModule:
         return {avec: c for avec, c in vec.items() if self.weight(avec) == 0}
 
     def y_average(self, vec: Vector) -> Vector:
-        """Average over K, computed by summation over the torus."""
+        """Average over K, through the basis of F_(q^2)^2 that diagonalizes K.
+
+        Put s = sqrt(alpha) and M = [[s, -s], [1, 1]]. Each call checks
+        that M^-1 k_alpha M = diag(1 + s, 1 - s) and raises
+        ConsistencyError otherwise. Every k in K is I + z k_0 or k_0, and
+        k_0 = k_alpha - I, so M^-1 k M is diag(1 + z s, 1 - z s) or
+        diag(s, -s): diag(l, l^q) in each case, as s^q = -s. These q + 1
+        eigenvalues l are one of each coset of F_q^* in F_(q^2)^*.
+
+        apply is a homomorphism on GL2(F_(q^2)), not only on GL2(F_q): each
+        factor is Sym^(d_i) composed with Frob^i, a field automorphism, and
+        det^w is multiplicative. So the sum over K is
+        apply(M, D(apply(M^-1, v))), where D sums diag(l, l^q) over the l.
+        That matrix scales a monomial by l^E, E = aa + q bb (see k_fixed).
+        Scalars c in F_q^* act by c^E, so on a module where they act
+        trivially l -> l^E is a character of F_(q^2)^* / F_q^*. That group
+        is cyclic of order q + 1, generated by 1 + s because k_alpha
+        generates K, and the average of the character over it is 1 when
+        (1 + s)^E = 1 and 0 otherwise. So D / (q + 1) keeps the monomials
+        of k_fixed and drops the rest.
+        """
         g = self.g
         t = g.tower
-        total: Vector = {}
-        for k in g.K:
-            for avec, c in self.apply(k, vec).items():
-                acc = t.add(total.get(avec), c)
-                if acc is None:
-                    total.pop(avec, None)
-                else:
-                    total[avec] = acc
-        scale = t.inv(t.from_prime(g.q + 1))
-        return {avec: t.mul(c, scale) for avec, c in total.items()}
+        cons = self.cons
+        central = sum((d + 2 * m) * g.p**i for i, (d, m) in enumerate(zip(cons.sym, cons.det)))
+        if central % (g.q - 1):
+            raise ValueError("K averages need a module on which scalars act trivially")
+        m, m_inv = _k_eigenbasis(g)
+        s = g.sqrt_alpha
+        want = (t.add(t.one, s), None, None, t.sub(t.one, s))
+        if mat_mul(t, m_inv, mat_mul(t, g.k_alpha, m)) != want:
+            raise ConsistencyError("the change of basis does not diagonalize K")
+        fixed = {avec: c for avec, c in self.apply(m_inv, vec).items() if self.k_fixed(avec)}
+        return self.apply(m, fixed)
 
     # -- fixed spaces -----------------------------------------------------
 
     def h_fixed_count(self) -> int:
         return sum(1 for avec in self.cons.avecs() if self.weight(avec) == 0)
 
-    def k_fixed_count(self) -> int:
+    def k_fixed(self, avec: tuple[int, ...]) -> bool:
+        """True iff K fixes the monomial avec in the basis of y_average.
+
+        diag(l, l^q) scales it by l^E with E = aa + q bb, where
+        aa = sum (a_i + m_i) p^i and bb = sum (d_i - a_i + m_i) p^i, and
+        1 + sqrt(alpha), of dlog e0, generates the eigenvalues of K modulo
+        F_q^*, so the test is E e0 = 0 mod q^2 - 1.
+        """
         g = self.g
-        q = g.q
-        e0 = g.tower.add(g.tower.one, g.sqrt_alpha)  # dlog of the k_alpha eigenvalue
-        kk = q * q - 1
-        count = 0
-        for avec in self.cons.avecs():
-            aa = sum((ai + mi) * g.p**i for i, (ai, mi) in enumerate(zip(avec, self.cons.det)))
-            bb = sum(
-                (di - ai + mi) * g.p**i
-                for i, (di, ai, mi) in enumerate(zip(self.cons.sym, avec, self.cons.det))
-            )
-            if (aa + q * bb) * e0 % kk == 0:
-                count += 1
-        return count
+        aa = bb = 0
+        for i, (di, ai, mi) in enumerate(zip(self.cons.sym, avec, self.cons.det)):
+            aa += (ai + mi) * g.p**i
+            bb += (di - ai + mi) * g.p**i
+        return (aa + g.q * bb) * self._e0 % (g.q * g.q - 1) == 0
+
+    def k_fixed_count(self) -> int:
+        return sum(1 for avec in self.cons.avecs() if self.k_fixed(avec))
 
     def brauer_counter(self, ex: int, ey: int) -> dict[int, int]:
         """Brauer character value at a p-regular element with eigenvalue
@@ -227,6 +251,15 @@ def _binom_expand(t, p: int, u: FqElem, v: FqElem, n: int) -> list[FqElem]:
         c = t.mul(c, t.power(v, n - j)) if n - j else c
         out.append(c)
     return out
+
+
+def _k_eigenbasis(g: PGL2) -> tuple[Mat, Mat]:
+    """M = [[s, -s], [1, 1]] for s = sqrt(alpha), and its inverse
+    [[1, s], [-1, s]] / (2 s); see SymPowModule.y_average."""
+    t = g.tower
+    s = g.sqrt_alpha
+    inv = t.inv(t.add(s, s))
+    return (s, t.neg(s), t.one, t.one), (inv, t.mul(s, inv), t.neg(inv), t.mul(s, inv))
 
 
 def _h_eigs(g: PGL2) -> list[tuple[int, int]]:

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from toric_correlator import build_tower, gfpoly
+from toric_correlator import PGL2, build_tower, gfpoly
 from toric_correlator.fields import ConsistencyError, FieldTower
 
 
@@ -249,7 +249,57 @@ MODULUS_DEGREES = sorted(TOWER_DEGREES + [(3, 1), (5, 1), (7, 1), (3, 3), (5, 3)
 
 @pytest.mark.parametrize("p, m", MODULUS_DEGREES)
 def test_first_primitive_modulus_matches_reference(p, m):
-    assert gfpoly.first_primitive_modulus(p, m) == canonical_modulus(p, m)
+    want = canonical_modulus(p, m)
+    assert gfpoly.first_primitive_modulus(p, m) == want
+    # the process-wide memo holds the same modulus, and a repeat call reads it
+    assert gfpoly._MODULUS_CACHE[(p, m)] == tuple(want)
+    assert gfpoly.first_primitive_modulus(p, m) == want
+
+
+def _count_order_checks(monkeypatch):
+    calls = []
+    check = gfpoly.element_order_check
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(gfpoly, "element_order_check", counted)
+    return calls
+
+
+def test_a_second_group_over_a_field_makes_no_modulus_search(monkeypatch):
+    gfpoly._MODULUS_CACHE.pop((7, 2), None)
+    calls = _count_order_checks(monkeypatch)
+    first = PGL2(7, 1)
+    assert calls  # the scan ran
+    calls.clear()
+    second = PGL2(7, 1)
+    assert calls == []
+    assert second.tower.modulus == first.tower.modulus
+    # towers and their Zech memos stay per group
+    assert second.tower is not first.tower
+    assert second.tower._zech is not first.tower._zech
+
+
+def test_the_modulus_memo_hands_out_copies():
+    f = gfpoly.first_primitive_modulus(5, 2)
+    memo = gfpoly._MODULUS_CACHE[(5, 2)]
+    f.append(7)
+    f[0] = 0
+    assert gfpoly._MODULUS_CACHE[(5, 2)] == memo
+    assert gfpoly.first_primitive_modulus(5, 2) == list(memo)
+    assert FieldTower(5, 2).modulus == list(memo)
+
+
+def test_an_explicit_modulus_is_checked_after_the_memo_is_filled(monkeypatch):
+    gfpoly.first_primitive_modulus(7, 2)
+    assert (7, 2) in gfpoly._MODULUS_CACHE
+    calls = _count_order_checks(monkeypatch)
+    # x^2 + 1 is irreducible mod 7, but x has order 4, not 48
+    with pytest.raises(ValueError, match="not primitive"):
+        FieldTower(7, 2, modulus=[1, 0, 1])
+    assert calls == [([0, 1], [1, 0, 1], 7, 48)]
 
 
 def reference_tables(p, m, modulus):

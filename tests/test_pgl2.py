@@ -604,6 +604,41 @@ def test_family_sum_matches_char_counter_sum(p, f, monkeypatch):
                 assert g.family_sum(g.form((kind, s)), terms, den=kk) == want / kk
 
 
+SMALL_REPS = [("triv",), ("eta",), ("st",), ("steta",)]
+
+
+def _class_by_class_sum(g, rep, ms):
+    """Reference: the small reps' class_sum before it read the form, one
+    char_counter per class, reduced at conductor q^2 - 1."""
+    total = {}
+    for cls, n in ms.items():
+        if n:
+            for e, c in g.char_counter(rep, cls).items():
+                total[e] = total.get(e, 0) + n * c
+    return CycNum.from_counter(g.q**2 - 1, total)
+
+
+@pytest.mark.parametrize("p, f", ODD_Q_TO_49)
+def test_small_rep_sums_match_the_class_by_class_sum(p, f):
+    from toric_correlator import corr_constant
+
+    g = PGL2(p, f)
+    rng = random.Random(31 * p + f)
+    pairs = pair_class_counts(g)
+    multisets = [pairs, g.class_size]
+    multisets += [g.torus_classes(which) for which in ("H", "K", "hk0", "h0k")]
+    multisets.append({c: rng.randrange(-3, 4) for c in g.classes})
+    for ms in multisets:
+        for rep in SMALL_REPS:
+            want = _class_by_class_sum(g, rep, ms)
+            got = g.class_sum(rep, ms)
+            assert got == want and got.k == want.k, (rep, ms)
+    for rep in SMALL_REPS:
+        for which in ("H", "K", "hk0", "h0k"):
+            assert g.torus_sum(rep, which) == _class_by_class_sum(g, rep, g.torus_classes(which))
+        assert corr_constant(g, rep) == _class_by_class_sum(g, rep, pairs) / (g.q**2 - 1)
+
+
 def test_invariant_dims_multiplicity_one(g7, g9):
     # both tori: dimension of the fixed space is 0 or 1 except for the
     # Steinberg H-side (dimension 2) and the sign character (0, 0)

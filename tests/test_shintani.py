@@ -13,6 +13,7 @@ from toric_correlator import (
     eligible_exponents,
     theorem_report,
 )
+from toric_correlator.pgl2 import mat_mul
 from toric_correlator.ps_model import INF_KEY, ZERO_KEY, act
 from toric_correlator.shintani import (
     CVec,
@@ -419,12 +420,28 @@ def reference_tabulate(op: ShintaniOperator) -> dict:
     return cols
 
 
+def reference_generators(op: ShintaniOperator) -> list:
+    """The 2 + f generator pairs: diag(gamma, 1), w and the translations
+    u_b for the F_p-basis b = gamma^0 .. gamma^(f-1) of E."""
+    g = op.g
+    m = op.model
+    w = m.w()
+    gens = [
+        (m.diag(g.sub_exp(1)), m.diag(g.sub_exp(op.q_base % op.kk))),
+        (w, w),
+    ]
+    for i in range(g.f):
+        b = g.sub_exp(i % op.kk)
+        gens.append((m.u(b), m.u(op.sigma(b))))
+    return gens
+
+
 def reference_intertwining(op: ShintaniOperator) -> None:
     """T pi(g) = pi(g^sigma) T compared as key -> exponent dicts, on the
-    same generators and basis keys."""
+    2 + f reference generators and every basis key."""
     kk = op.kk
     cols = op.columns
-    for gen, gen_s in op._generators():
+    for gen, gen_s in reference_generators(op):
         for key in op.model.basis_keys():
             nk, shift = gen[key]
             lhs = {k: (e + shift) % kk for k, e in cols[nk].items()}
@@ -449,8 +466,42 @@ def test_tables_and_intertwining_match_references(q_base, p, f, j):
     assert op.columns == want
     # the same order of keys within each column, too
     assert all(list(op.columns[k]) == list(want[k]) for k in want)
+    # the three generators open the 2 + f of the reference list, and the
+    # operator passes on all of them
+    assert op._generators() == reference_generators(op)[:3]
     op.intertwining_check()
     reference_intertwining(op)
+
+
+def _projective(t, mat):
+    """mat scaled so that its first nonzero entry is 1."""
+    lead = next(x for x in mat if x is not None)
+    return tuple(t.div(x, lead) if x is not None else None for x in mat)
+
+
+def test_three_generators_give_all_of_pgl2_q9(g9):
+    # brute-force closure of diag(gamma, 1), w and u_1 in PGL2(F_9), each
+    # matched against the model table that _generators uses for it
+    g = g9
+    t = g.tower
+    one = t.one
+    op = ShintaniOperator(g, 3, 2)
+    m = op.model
+    mats = [(g.sub_exp(1), None, None, one), (None, one, one, None), (one, one, None, one)]
+    for mat, (gen, _) in zip(mats, op._generators()):
+        assert m.apply(mat) == gen
+    seen = {_projective(t, (one, None, None, one))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for mat in mats:
+                y = _projective(t, mat_mul(t, x, mat))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    assert len(seen) == g.q**3 - g.q == g.order
 
 
 @pytest.mark.parametrize("q_base, p, f, j", ELIGIBLE)

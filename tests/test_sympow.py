@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from toric_correlator import PGL2, diamond_check, jh_constituents
-from toric_correlator import st_report
+from toric_correlator import ConsistencyError, PGL2, diamond_check, jh_constituents
+from toric_correlator import st_report, sympow
 from toric_correlator.pgl2 import mat_mul
 from toric_correlator.sympow import (
     Constituent,
@@ -18,6 +18,7 @@ from toric_correlator.sympow import (
     vector_h,
     vector_k,
 )
+from test_pgl2 import ODD_Q_TO_49
 
 
 def all_rvecs(g):
@@ -150,3 +151,97 @@ def test_bad_rvec_rejected(g9):
         st_report(g9, (1,))  # wrong length
     with pytest.raises(ValueError):
         st_report(g9, (3, 0))  # digit out of range
+
+
+# -- the K-average through the eigenbasis of K ------------------------------
+
+
+def reference_y_average(mod, vec):
+    """Reference: the average over K as the sum of apply(k, vec) over its
+    q + 1 matrices, divided by q + 1."""
+    g = mod.g
+    t = g.tower
+    total = {}
+    for k in g.K:
+        for avec, c in mod.apply(k, vec).items():
+            acc = t.add(total.get(avec), c)
+            if acc is None:
+                total.pop(avec, None)
+            else:
+                total[avec] = acc
+    scale = t.inv(t.from_prime(g.q + 1))
+    return {avec: t.mul(c, scale) for avec, c in total.items()}
+
+
+def random_vector(g, cons, rng):
+    """A vector with a random coefficient in F_(q^2), zero included, on
+    every monomial."""
+    vec = {avec: rng.randrange(-1, g.tower.order) for avec in cons.avecs()}
+    return {avec: c for avec, c in vec.items() if c >= 0}
+
+
+def ps_cusp_constituents(g):
+    """Every constituent of every ps and cusp reduction, each once."""
+    return {
+        c for rep in g.reps() if rep[0] in ("ps", "cusp") for _, c in jh_constituents(g, rep)
+    }
+
+
+@pytest.mark.parametrize("p, f", ODD_Q_TO_49)
+def test_y_average_matches_the_sum_over_k(p, f):
+    # determinant twists included: each constituent carries its own
+    g = PGL2(p, f)
+    rng = random.Random(p * 100 + f)
+    for cons in sorted(ps_cusp_constituents(g), key=lambda c: (c.sym, c.det)):
+        mod = SymPowModule(g, cons)
+        vec = random_vector(g, cons, rng)
+        assert mod.y_average(vec) == reference_y_average(mod, vec), cons
+
+
+@pytest.mark.parametrize("p, f", [(3, 2), (5, 2), (3, 3)])
+def test_y_average_matches_the_sum_over_k_on_st_vectors(p, f):
+    g = PGL2(p, f)
+    for rvec in all_rvecs(g):
+        mod = SymPowModule(g, rho_pure(rvec))
+        for vec in (vector_h(g, rvec), vector_k(g, rvec)):
+            assert mod.y_average(vec) == reference_y_average(mod, vec), rvec
+
+
+def test_y_average_rejects_a_basis_that_does_not_diagonalize_k(g25, monkeypatch):
+    g = g25
+    t = g.tower
+    one, s = t.one, g.sqrt_alpha
+    mod = SymPowModule(g, rho_pure((2, 2)))
+    vec = vector_h(g, (2, 2))
+    m, m_inv = sympow._k_eigenbasis(g)
+    assert mat_mul(t, m, m_inv) == (one, None, None, one)
+    identity = (one, None, None, one)
+    # M with its columns swapped diagonalizes K, but to diag(1 - s, 1 + s)
+    swapped = (t.neg(s), s, one, one)
+    swapped_inv = (m_inv[2], m_inv[3], m_inv[0], m_inv[1])
+    assert mat_mul(t, swapped, swapped_inv) == identity
+    for bad in ((identity, identity), (swapped, swapped_inv)):
+        monkeypatch.setattr(sympow, "_k_eigenbasis", lambda _g, bad=bad: bad)
+        with pytest.raises(ConsistencyError, match="does not diagonalize"):
+            mod.y_average(vec)
+
+
+def test_y_average_rejects_a_module_with_a_central_character(g9):
+    # Sym^1 without a twist: the scalar c acts by c, so the sum over K is
+    # not an average over the projective torus
+    mod = SymPowModule(g9, Constituent((1, 0), (0, 0)))
+    with pytest.raises(ValueError, match="scalars act trivially"):
+        mod.y_average({(0, 0): g9.tower.one})
+
+
+@pytest.mark.parametrize("p, f", [(5, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_the_change_of_basis_round_trips(p, f):
+    g = PGL2(p, f)
+    m, m_inv = sympow._k_eigenbasis(g)
+    rng = random.Random(f * 10 + p)
+    cons = sorted(ps_cusp_constituents(g), key=lambda c: (c.sym, c.det))
+    for c in cons[:: max(1, len(cons) // 6)] + [rho_pure((g.p - 1,) * g.f)]:
+        mod = SymPowModule(g, c)
+        vec = random_vector(g, c, rng)
+        assert mod.apply(m, mod.apply(m_inv, vec)) == vec
+        assert mod.apply(m_inv, mod.apply(m, vec)) == vec
