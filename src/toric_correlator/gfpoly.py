@@ -71,16 +71,6 @@ def degree(a: list[int]) -> int:
     return len(a) - 1
 
 
-def add(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return trim(out)
-
-
 def sub(a: list[int], b: list[int], p: int) -> list[int]:
     n = max(len(a), len(b))
     out = [0] * n
@@ -216,24 +206,6 @@ def factorint(n: int) -> dict[int, int]:
     return out
 
 
-def is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's test: f (monic emitted by callers, degree n >= 1) is irreducible
-    over F_p iff X^(p^n) = X mod f and gcd(X^(p^(n/r)) - X, f) = 1 for all
-    prime divisors r of n."""
-    n = degree(f)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    for r in factorint(n):
-        t = powmod(x, p ** (n // r), f, p)
-        if degree(gcd(sub(t, x, p), f, p)) != 0:
-            return False
-    t = powmod(x, p**n, f, p)
-    return sub(t, x, p) == []
-
-
 def element_order_check(a: list[int], m: list[int], p: int, n: int) -> bool:
     """True iff a has multiplicative order exactly n mod m (n must be a
     multiple of the true order for the factored test to make sense; callers
@@ -327,10 +299,3 @@ def equal_degree_factor(f: list[int], d: int, p: int, seed: int = 0) -> list[lis
     done.sort(key=tuple)
     return done
 
-
-def eval_poly(a: list[int], x: int, p: int) -> int:
-    """Evaluate at a prime-field point by Horner."""
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc

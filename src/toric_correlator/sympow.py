@@ -28,7 +28,9 @@ d = q - 1 keeps the closed forms for s and t but not proportionality.
 The same operators applied to the flagged Jordan-Hoelder constituent of
 the reduction of a characteristic-zero representation recover the
 reduction of its correlation constant at the tower's distinguished prime,
-which is the content of the diamond_check below.
+which is the content of the diamond_check below. Every p-regular class
+lies in the cyclic torus H or K, so its Brauer checks compare integer
+histograms of exponents at the two torus generators.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 from .correlation import corr_constant
-from .cyclo import CycNum
 from .fields import ConsistencyError, FqElem
 from .modp import base_digits, distinguished_handle, lucas_binom, rep_conductor
 from .pgl2 import PGL2, Label, Mat, mat_det, mat_mul
@@ -76,6 +77,7 @@ class SymPowModule:
         # combined determinant weight mod q-1
         self.det_weight = sum(m * g.p**i for i, m in enumerate(cons.det)) % (q - 1)
         self._e0 = g.tower.add(g.tower.one, g.sqrt_alpha)  # dlog of 1 + sqrt(alpha)
+        self._histograms: tuple[list[int], list[int]] | None = None
 
     # -- action -----------------------------------------------------------
 
@@ -165,10 +167,7 @@ class SymPowModule:
         """
         g = self.g
         t = g.tower
-        cons = self.cons
-        central = sum((d + 2 * m) * g.p**i for i, (d, m) in enumerate(zip(cons.sym, cons.det)))
-        if central % (g.q - 1):
-            raise ValueError("K averages need a module on which scalars act trivially")
+        self.torus_histograms()  # ValueError unless scalars act trivially
         m, m_inv = _k_eigenbasis(g)
         s = g.sqrt_alpha
         want = (t.add(t.one, s), None, None, t.sub(t.one, s))
@@ -200,36 +199,38 @@ class SymPowModule:
     def k_fixed_count(self) -> int:
         return sum(1 for avec in self.cons.avecs() if self.k_fixed(avec))
 
-    def brauer_counter(self, ex: int, ey: int) -> dict[int, int]:
-        """Brauer character value at a p-regular element with eigenvalue
-        dlogs (ex, ey), as an exponent counter mod q^2 - 1."""
-        g = self.g
-        kk = g.q**2 - 1
-        det_part = self.det_weight * (ex + ey)
-        out: dict[int, int] = {}
-        for avec in self.cons.avecs():
-            e = det_part
-            for i, (ai, di) in enumerate(zip(avec, self.cons.sym)):
-                e += g.p**i * (ai * ex + (di - ai) * ey)
-            e %= kk
-            out[e] = out.get(e, 0) + 1
-        return out
+    def torus_histograms(self) -> tuple[list[int], list[int]]:
+        """(N_H, N_K): the monomials counted by their exponent at the
+        generator w = zeta^(q + 1) of H and at v = zeta^(q - 1) of K; built
+        once. With aa, bb and E = aa + q bb as in k_fixed, avec has
+        eigenvalue w^(e aa) at split class e and zeta^((q + 1 - j) E) =
+        v^(-j E / (q - 1)) at elliptic class j, which needs (q - 1) | E:
+        scalars must act trivially. E = E_0 - (q - 1) sum a_i p^i, so that is
+        one test per module."""
+        if self._histograms is None:
+            q = self.g.q
+            pw = [self.g.p**i for i in range(self.g.f)]
+            aa0 = sum(m * w for m, w in zip(self.cons.det, pw))
+            bb0 = sum((d + m) * w for d, m, w in zip(self.cons.sym, self.cons.det, pw))
+            vv0, rem = divmod(aa0 + q * bb0, q - 1)
+            if rem:
+                raise ValueError("needs a module on which scalars act trivially")
+            n_h, n_k = [0] * (q - 1), [0] * (q + 1)
+            for avec in self.cons.avecs():
+                a = sum(ai * w for ai, w in zip(avec, pw))
+                n_h[(aa0 + a) % (q - 1)] += 1
+                n_k[(vv0 - a) % (q + 1)] += 1
+            self._histograms = n_h, n_k
+        return self._histograms
 
     def fixed_dims_brauer(self) -> tuple[int, int]:
-        """(dim over H, dim over K) via Brauer character averages."""
-        g = self.g
-        kk = g.q**2 - 1
-        dims = []
-        for eigs in (_h_eigs(g), _k_eigs(g)):
-            total: dict[int, int] = {}
-            for ex, ey in eigs:
-                for e, c in self.brauer_counter(ex, ey).items():
-                    total[e] = total.get(e, 0) + c
-            val = CycNum.from_counter(kk, total).as_rational()
-            if val is None or (val / len(eigs)).denominator != 1:
-                raise ConsistencyError("Brauer average is not an integer")
-            dims.append(int(val / len(eigs)))
-        return (dims[0], dims[1])
+        """Brauer averages over H and K: (N_H[0], N_K[0]), as the sum over e
+        in Z/(q - 1) of w^(e W) is (q - 1) [W = 0], and likewise for K. This
+        reads the same exponents as weight and k_fixed, so fixed_dims compares
+        two countings of one formula; the cyclotomic average over 2q torus
+        elements that it replaces is a test reference."""
+        n_h, n_k = self.torus_histograms()
+        return n_h[0], n_k[0]
 
     def fixed_dims(self) -> tuple[int, int]:
         """Fixed-space dimensions, counted two ways which must agree."""
@@ -260,16 +261,6 @@ def _k_eigenbasis(g: PGL2) -> tuple[Mat, Mat]:
     s = g.sqrt_alpha
     inv = t.inv(t.add(s, s))
     return (s, t.neg(s), t.one, t.one), (inv, t.mul(s, inv), t.neg(inv), t.mul(s, inv))
-
-
-def _h_eigs(g: PGL2) -> list[tuple[int, int]]:
-    return [(e * (g.q + 1), 0) for e in range(g.q - 1)]
-
-
-def _k_eigs(g: PGL2) -> list[tuple[int, int]]:
-    e0 = g.tower.add(g.tower.one, g.sqrt_alpha)
-    kk = g.q**2 - 1
-    return [(t * e0 % kk, t * e0 * g.q % kk) for t in range(g.q + 1)]
 
 
 # -- the pure modules rho_r and their structure constants -------------------
@@ -493,48 +484,56 @@ class DiamondReport:
         )
 
 
-def _class_eigs(g: PGL2, cls: Label) -> tuple[int, int] | None:
-    """Eigenvalue dlogs of a p-regular class; None for the unipotent."""
-    q = g.q
-    if cls[0] == "id":
-        return (0, 0)
-    if cls[0] == "unip":
-        return None
-    if cls[0] == "split":
-        return (cls[1] * (q + 1), 0)
-    ee = (q + 1 - cls[1]) % (q * q - 1)
-    return (ee, ee * q % (q * q - 1))
+def _form_histograms(g: PGL2, rep: Label) -> tuple[list[int], list[int]]:
+    """(M_H, M_K), whose transforms are chi_rep on H and K: per family, with
+    m = q - 1 or q + 1 and (c, s) its form (0, 0 if None),
+    M(x) = (chi(id) - c) / m + (c / 2) ([x = s] + [x = -s]). c is even or
+    2 s = 0 mod m, as char_counter also assumes."""
+    chi_id, _, fams = g.form(rep)
+    out = []
+    for fam, m in (("split", g.q - 1), ("ell", g.q + 1)):
+        c, s = fams[fam] or (0, 0)
+        base, rem = divmod(chi_id - c, m)
+        if rem:
+            raise ConsistencyError(f"{rep}: {m} does not divide chi(id) - c = {chi_id - c}")
+        hist = [base] * m
+        hist[s % m] += c // 2
+        hist[-s % m] += c - c // 2
+        out.append(hist)
+    return out[0], out[1]
+
+
+def _brauer_sum_ok(g: PGL2, rep: Label, modules: list[SymPowModule]) -> bool:
+    """The modules' Brauer characters sum to chi_rep on every p-regular
+    class iff their torus_histograms sum to _form_histograms(g, rep)
+    (Serre, Linear Representations of Finite Groups, ch. 18).
+
+    On H both sides are transforms e -> sum_W N(W) w^(e W) of integer
+    histograms, so the value at -e is the conjugate of the value at e, and
+    the classes e = 0 (id), 1, ..., (q - 1)/2 fix all q - 1 values; the
+    transform on Z/(q - 1) is invertible. K is the same on Z/(q + 1), with
+    j = 0, ..., (q + 1)/2.
+    """
+    sides = zip(*(m.torus_histograms() for m in modules))
+    sums = tuple([sum(col) for col in zip(*side)] for side in sides)
+    return sums == _form_histograms(g, rep)
 
 
 def diamond_check(g: PGL2, rep: Label) -> DiamondReport:
     """Full reduction cross-check for one ps or cusp representation.
 
     (i) the Brauer characters of the constituents sum to the ordinary
-    character on every p-regular class; (ii) exactly one constituent has
-    torus-fixed vectors (one each, the same constituent, the flagged one,
-    counted two independent ways); (iii) the operator composite X Y on the
-    flagged constituent's fixed line reproduces the reduction of the
-    correlation constant at the tower's distinguished prime.
+    character on every p-regular class (_brauer_sum_ok); (ii) exactly one
+    constituent has torus-fixed vectors (one each, the same constituent,
+    the flagged one, counted two ways); (iii) the operator composite X Y on
+    the flagged constituent's fixed line reproduces the reduction of the
+    correlation constant at the tower's distinguished prime. (i) and (ii)
+    read each module's torus histograms, built once.
     """
     t = g.tower
-    kk = g.q**2 - 1
     parts = jh_constituents(g, rep)
-    # (i) Brauer sum
-    brauer_ok = True
     modules = [SymPowModule(g, c) for _, c in parts]
-    for cls in g.classes:
-        eigs = _class_eigs(g, cls)
-        if eigs is None:
-            continue
-        total: dict[int, int] = {}
-        for m in modules:
-            for e, c in m.brauer_counter(*eigs).items():
-                total[e] = total.get(e, 0) + c
-        for e, c in g.char_counter(rep, cls).items():
-            total[e] = total.get(e, 0) - c
-        if not CycNum.from_counter(kk, total).is_zero():
-            brauer_ok = False
-    # (ii) fixed dimensions
+    brauer_ok = _brauer_sum_ok(g, rep, modules)
     dims = [m.fixed_dims() for m in modules]
     flag_j = flagged_subset(g, rep)
     flagged = next(c for j, c in parts if j == flag_j)

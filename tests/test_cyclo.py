@@ -22,6 +22,7 @@ from toric_correlator import (
 from toric_correlator import gfpoly
 from toric_correlator.cyclo import _split_conductor, _subfield_pieces
 from toric_correlator.fields import ConsistencyError
+import polyref
 
 
 def test_cyclotomic_poly_small():
@@ -485,7 +486,7 @@ def test_factor_cyclotomic_mod_p_structure():
         prod = [1]
         for f in factors:
             assert gfpoly.degree(f) == d
-            assert gfpoly.is_irreducible(f, p)
+            assert polyref.is_irreducible(f, p)
             prod = gfpoly.mul(prod, f, p)
         assert prod == [c % p for c in cyclotomic_poly(k)]
         # deterministic across calls

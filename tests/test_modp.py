@@ -33,6 +33,7 @@ from toric_correlator.modp import (
     rep_conductor,
     root_relabel_map,
 )
+import polyref
 
 
 @settings(max_examples=120, deadline=None)
@@ -97,7 +98,7 @@ def horner_reduce(h, z):
         if c.denominator % p == 0:
             raise ValueError("value is not integral at this prime")
         cc = c.numerator * pow(c.denominator, p - 2, p) % p
-        acc = gfpoly.mod(gfpoly.add(gfpoly.mul(acc, point, p), [cc], p), h.factor, p)
+        acc = gfpoly.mod(polyref.add(gfpoly.mul(acc, point, p), [cc], p), h.factor, p)
     return acc
 
 

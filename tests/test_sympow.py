@@ -7,7 +7,7 @@ import random
 import pytest
 
 from toric_correlator import ConsistencyError, PGL2, diamond_check, jh_constituents
-from toric_correlator import st_report, sympow
+from toric_correlator import CycNum, st_report, sympow
 from toric_correlator.pgl2 import mat_mul
 from toric_correlator.sympow import (
     Constituent,
@@ -95,7 +95,13 @@ def test_module_apply_is_an_action(g9):
 def test_fixed_dims_counting_equals_brauer(g9):
     for rvec in ((0, 0), (1, 0), (2, 2), (1, 2)):
         mod = SymPowModule(g9, rho_pure(rvec))
-        assert mod.fixed_dims() == mod.fixed_dims_brauer()
+        assert mod.fixed_dims() == mod.fixed_dims_brauer() == reference_fixed_dims_brauer(mod)
+    # every constituent of every ps and cusp reduction at odd q <= 49
+    for p, f in ODD_Q_TO_49:
+        g = PGL2(p, f)
+        for cons in ps_cusp_constituents(g):
+            mod = SymPowModule(g, cons)
+            assert mod.fixed_dims_brauer() == reference_fixed_dims_brauer(mod), (g.q, cons)
 
 
 def test_jh_dims_sum(g9, g25):
@@ -232,6 +238,8 @@ def test_y_average_rejects_a_module_with_a_central_character(g9):
     mod = SymPowModule(g9, Constituent((1, 0), (0, 0)))
     with pytest.raises(ValueError, match="scalars act trivially"):
         mod.y_average({(0, 0): g9.tower.one})
+    with pytest.raises(ValueError, match="scalars act trivially"):
+        mod.torus_histograms()
 
 
 @pytest.mark.parametrize("p, f", [(5, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
@@ -245,3 +253,136 @@ def test_the_change_of_basis_round_trips(p, f):
         vec = random_vector(g, c, rng)
         assert mod.apply(m, mod.apply(m_inv, vec)) == vec
         assert mod.apply(m_inv, mod.apply(m, vec)) == vec
+
+
+# -- the Brauer checks as torus histograms ----------------------------------
+
+
+def reference_brauer_counter(mod, ex, ey):
+    """Brauer character value of mod at a p-regular element with eigenvalue
+    dlogs (ex, ey), as an exponent counter mod q^2 - 1."""
+    g = mod.g
+    kk = g.q**2 - 1
+    out = {}
+    for avec in mod.cons.avecs():
+        e = mod.det_weight * (ex + ey)
+        for i, (ai, di) in enumerate(zip(avec, mod.cons.sym)):
+            e += g.p**i * (ai * ex + (di - ai) * ey)
+        out[e % kk] = out.get(e % kk, 0) + 1
+    return out
+
+
+def reference_class_eigs(g, cls):
+    """Eigenvalue dlogs of a p-regular class; None for the unipotent."""
+    q = g.q
+    if cls[0] in ("id", "unip"):
+        return (0, 0) if cls[0] == "id" else None
+    if cls[0] == "split":
+        return (cls[1] * (q + 1), 0)
+    ee = (q + 1 - cls[1]) % (q * q - 1)
+    return (ee, ee * q % (q * q - 1))
+
+
+def reference_brauer_sum_ok(g, rep, modules):
+    """Reference: the Brauer characters of modules minus chi_rep, reduced in
+    Q(zeta_(q^2 - 1)) at every p-regular class."""
+    for cls in g.classes:
+        eigs = reference_class_eigs(g, cls)
+        if eigs is None:
+            continue
+        total = {}
+        for mod in modules:
+            for e, c in reference_brauer_counter(mod, *eigs).items():
+                total[e] = total.get(e, 0) + c
+        for e, c in g.char_counter(rep, cls).items():
+            total[e] = total.get(e, 0) - c
+        if not CycNum.from_counter(g.q**2 - 1, total).is_zero():
+            return False
+    return True
+
+
+def reference_fixed_dims_brauer(mod):
+    """Reference: the Brauer character averaged over the q - 1 elements of H
+    and over the q + 1 elements of K, each sum reduced in Q(zeta_(q^2 - 1))."""
+    g = mod.g
+    kk = g.q**2 - 1
+    e0 = g.tower.add(g.tower.one, g.sqrt_alpha)
+    h_eigs = [(e * (g.q + 1), 0) for e in range(g.q - 1)]
+    k_eigs = [(t * e0 % kk, t * e0 * g.q % kk) for t in range(g.q + 1)]
+    dims = []
+    for eigs in (h_eigs, k_eigs):
+        total = {}
+        for ex, ey in eigs:
+            for e, c in reference_brauer_counter(mod, ex, ey).items():
+                total[e] = total.get(e, 0) + c
+        val = CycNum.from_counter(kk, total).as_rational() / len(eigs)
+        assert val.denominator == 1
+        dims.append(int(val))
+    return tuple(dims)
+
+
+def ps_cusp_modules(g):
+    """(rep, the modules of its constituents) for every ps and cusp rep."""
+    for rep in g.reps():
+        if rep[0] in ("ps", "cusp"):
+            yield rep, [SymPowModule(g, c) for _, c in jh_constituents(g, rep)]
+
+
+@pytest.mark.parametrize("p, f", ODD_Q_TO_49)
+def test_brauer_sum_matches_the_class_by_class_reference(p, f):
+    g = PGL2(p, f)
+    for rep, modules in ps_cusp_modules(g):
+        assert sympow._brauer_sum_ok(g, rep, modules), rep
+        assert reference_brauer_sum_ok(g, rep, modules), rep
+
+
+def rejected(check):
+    """True when check() returns False or raises ConsistencyError."""
+    try:
+        return not check()
+    except ConsistencyError:
+        return True
+
+
+def both_reject(g, rep, modules):
+    return rejected(lambda: sympow._brauer_sum_ok(g, rep, modules)) and rejected(
+        lambda: reference_brauer_sum_ok(g, rep, modules)
+    )
+
+
+@pytest.mark.parametrize("p, f", [(5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_broken_brauer_sums_are_rejected_by_both_routes(p, f, monkeypatch):
+    g = PGL2(p, f)
+    reps = g.reps()
+    form = g.form
+    for rep, modules in ps_cusp_modules(g):
+        # a dropped constituent
+        assert both_reject(g, rep, modules[1:]), rep
+        # the first constituent's determinant twisted by (q - 1)/2
+        cons = modules[0].cons
+        det = (cons.det[0] + (g.q - 1) // 2,) + cons.det[1:]
+        twisted = SymPowModule(g, Constituent(cons.sym, det))
+        assert both_reject(g, rep, [twisted] + modules[1:]), rep
+        # the neighbouring label of the same kind
+        for r in (rep[1] + 1, rep[1] - 1):
+            if (rep[0], r) in reps:
+                assert both_reject(g, (rep[0], r), modules), rep
+                break
+        # c moved by m (so m still divides chi(id) - c), or s moved by 1
+        chi_id, chi_unip, fams = form(rep)
+        fam, m = ("split", g.q - 1) if rep[0] == "ps" else ("ell", g.q + 1)
+        c, s = fams[fam]
+        for edit in ((c + m, s), (c, s + 1)):
+            edited = (chi_id, chi_unip, {**fams, fam: edit})
+            monkeypatch.setattr(g, "form", lambda r: edited if r == rep else form(r))
+            assert both_reject(g, rep, modules), (rep, edit)
+            monkeypatch.undo()
+
+
+def test_form_histograms_reject_an_indivisible_form(g9, monkeypatch):
+    chi_id, chi_unip, fams = g9.form(("ps", 1))
+    c, s = fams["split"]
+    edited = (chi_id, chi_unip, {**fams, "split": (c + 1, s)})
+    monkeypatch.setattr(g9, "form", lambda r: edited)
+    with pytest.raises(ConsistencyError, match="does not divide"):
+        sympow._form_histograms(g9, ("ps", 1))
