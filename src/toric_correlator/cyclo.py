@@ -16,11 +16,12 @@ The module also provides the reduction of a CycNum at a prime ideal above
 p, presented by a primitive k-th root of unity in a field tower; the
 image is a tower element, and the root's minimal polynomial is the
 irreducible factor of Phi_k mod p that names the prime. The factors of
-Phi_k mod p come from an independent route: Phi_k is split through a
-proper subfield F_{p^j} of its residue field into the pieces
-gcd(Phi_k, m(X^(k/r))), r = gcd(k, p^j - 1) and m an irreducible factor
-of Phi_r mod p (for j = 1 the binomials X^(k/r) - u), and each piece by
-Cantor-Zassenhaus.
+Phi_k mod p come from an independent route in F_p[X] alone: one piece
+gcd(Phi_k, m(X^(k/r))) of Phi_k, cut through a proper subfield F_{p^j}
+of its residue field (r = gcd(k, p^j - 1), m an irreducible factor of
+Phi_r mod p), is split by Cantor-Zassenhaus, and the other factors are
+the minimal polynomials of the powers X^a, a a unit mod k, modulo the
+first factor found, one per Frobenius class of a.
 """
 
 from __future__ import annotations
@@ -395,31 +396,42 @@ def _residue_degree(k: int, p: int) -> int:
 def factor_cyclotomic_mod_p(k: int, p: int) -> list[list[int]]:
     """Irreducible factors of Phi_k mod p, sorted by coefficient tuple.
 
-    Requires p odd and coprime to k; then all factors share the degree
-    d = ord of p modulo k and the list has phi(k)/d entries. Computed once
-    per (k, p) and memoized; callers must not mutate the result.
+    Requires k >= 1 and p an odd prime that does not divide k (ValueError
+    otherwise); then all factors share the degree d = ord of p modulo k
+    and the list has phi(k)/d entries. Computed once per (k, p) and
+    memoized; callers must not mutate the result.
 
-    Phi_k is first split through a subfield F_{p^j}, j | d, into the
-    pieces gcd(Phi_k, m(X^(k/r))), r = gcd(k, p^j - 1), one for each
-    irreducible factor m of Phi_r mod p (_split_conductor picks j,
-    _subfield_pieces computes the pieces), and each piece is factored by
-    equal_degree_factor. For j = 1 every m is X - u, u in F_p of order r,
-    and the pieces are gcd(Phi_k, X^(k/r) - u); otherwise the factors of
-    Phi_r come from this function at the smaller conductor r.
+    One factor f1 comes from Cantor-Zassenhaus on one piece of Phi_k. With
+    r = gcd(k, p^j - 1) for the j | d that _split_conductor picks, and m
+    the first irreducible factor of Phi_r mod p, the piece is
+    gcd(Phi_k, m(X^(k/r))) (_subfield_piece), and f1 is the first output
+    of equal_degree_factor on it. For j = 1, m = X - u with u the least
+    element of order r in F_p; otherwise m comes from this function at the
+    smaller conductor r. The piece is not 1: as zeta runs over the roots of
+    Phi_k, the elements of order k, zeta^(k/r) runs over all elements of
+    order r, and so over the roots of m.
 
-    The split is exact. p does not divide k, so Phi_k is separable mod p
-    and its roots are the zeta of order k. Then zeta^(k/r) has order r,
-    and r | p^j - 1 puts it in F_{p^j}; it is a root of exactly one
-    irreducible factor m of Phi_r mod p, which is separable too. So every
-    root of Phi_k lies in exactly one piece. Each piece is a gcd of
-    polynomials over F_p, hence a product of irreducible factors of Phi_k.
-    And it has degree phi(k) deg(m)/phi(r): the roots of m are zeta_r^b for
-    deg(m) units b mod r, and the unit exponents a mod k with a = b mod r,
-    for a fixed unit b, number phi(k)/phi(r).
+    Every other factor is the minimal polynomial over F_p of X^a in
+    F_p[X]/(f1), one for each class a of (Z/k)^*/<p> (_conjugate_factors),
+    and ConsistencyError is raised unless there are phi(k)/d of them, all
+    distinct and all of degree d. That makes the list the factorization.
+    p does not divide k, so Phi_k is separable mod p, its roots are the
+    elements of order k, and each of its irreducible factors has degree d.
+    equal_degree_factor splits only by gcd and exact quotient, so f1
+    divides the piece, hence Phi_k, and having degree d it is irreducible:
+    F_p[X]/(f1) is a field in which X has order k. Then y = X^a has order
+    k for a unit a, so its minimal polynomial divides Phi_k and has degree
+    d. Its roots are the conjugates y^(p^i) = X^(a p^i), so two classes
+    that gave the same polynomial would have X^a' = X^(a p^i) and, X
+    being of order k, a' = a p^i mod k. So distinct classes give coprime
+    factors, and phi(k)/d of them multiply to a divisor of Phi_k of
+    degree phi(k), which is Phi_k.
     """
-    if p == 2:
-        raise ValueError("p must be odd")
-    if math.gcd(k, p) != 1:
+    if k < 1:
+        raise ValueError("k must be positive")
+    if p == 2 or gfpoly.factorint(p) != {p: 1}:
+        raise ValueError("p must be an odd prime")
+    if k % p == 0:
         raise ValueError("p must not divide k")
     key = (k, p)
     if key in _FACTOR_CACHE:
@@ -427,20 +439,27 @@ def factor_cyclotomic_mod_p(k: int, p: int) -> list[list[int]]:
     d = _residue_degree(k, p)
     r = _split_conductor(k, p)
     if (p - 1) % r:
-        subfactors = factor_cyclotomic_mod_p(r, p)
+        m = factor_cyclotomic_mod_p(r, p)[0]
     else:
         primes = gfpoly.factorint(r)
-        subfactors = [
-            [p - u, 1] for u in range(1, p)
+        u = next(
+            u for u in range(1, p)
             if pow(u, r, p) == 1 and all(pow(u, r // s, p) != 1 for s in primes)
-        ]
-    factors = []
-    for piece in _subfield_pieces(CycRing.get(k, cap=None).phi_mod(p), k // r, subfactors, p):
-        if gfpoly.degree(piece) == d:
-            factors.append(piece)
-        else:
-            factors += gfpoly.equal_degree_factor(piece, d, p)
-    factors.sort(key=tuple)
+        )
+        m = [p - u, 1]
+    phi = CycRing.get(k, cap=None).phi_mod(p)
+    f1 = gfpoly.equal_degree_factor(_subfield_piece(phi, k // r, m, p), d, p)[0]
+    factors = sorted(_conjugate_factors(f1, k, p), key=tuple)
+    n = gfpoly.degree(phi)
+    if (
+        len(factors) != n // d
+        or any(len(f) != d + 1 for f in factors)
+        or any(f == g for f, g in zip(factors, factors[1:]))
+    ):
+        raise ConsistencyError(
+            f"the conjugates of one factor of Phi_{k} mod {p} are not {n // d} "
+            f"distinct polynomials of degree {d}"
+        )
     _FACTOR_CACHE[key] = factors
     return factors
 
@@ -450,8 +469,8 @@ def _split_conductor(k: int, p: int) -> int:
     Phi_k mod p into the most pieces, phi(r)/ord_r(p) of them; the least
     such j on a tie. j = 1 also when d = 1, where r = k.
 
-    j = d is excluded: then r = k and the pieces would be the factors
-    themselves.
+    j = d is excluded: then r = k, and m would be the factor sought. The
+    most pieces make the one piece that is factored the smallest.
     """
     d = _residue_degree(k, p)
     best, most = 0, 0
@@ -465,40 +484,95 @@ def _split_conductor(k: int, p: int) -> int:
     return best
 
 
-def _subfield_pieces(
-    f: list[int], s: int, subfactors: list[list[int]], p: int
-) -> list[list[int]]:
-    """gcd(f, m(X^s)) for each monic m in subfactors, for monic f over F_p.
+def _subfield_piece(f: list[int], s: int, m: list[int], p: int) -> list[int]:
+    """gcd(f, m(X^s)) for monic f and m over F_p.
 
     f mod m(X^s) is one fold: with Y = X^s, the coefficient blocks of f of
     length s are the coefficients of a polynomial in Y, which is reduced
     mod m(Y) by Horner from the top block down, a row of s coefficients
     per power of Y. For m = X - u this sums the blocks by Horner in u.
-    Raises ConsistencyError unless the pieces' degrees sum to deg f, the
-    check that the m(X^s) split f completely.
+
+    When f = Phi_k, s = k/r and m is an irreducible factor of Phi_r mod p,
+    r | p^j - 1, the piece is the product of the factors of Phi_k whose
+    roots zeta have zeta^s a root of m, phi(k) deg(m)/phi(r) of them
+    counted by degree: the roots of m are zeta_r^b for deg(m) units b mod
+    r, and the units a mod k with a = b mod r number phi(k)/phi(r) for
+    each b.
     """
     padded = f + [0] * (-len(f) % s)
     blocks = [padded[i : i + s] for i in range(0, len(padded), s)]
-    pieces = []
-    for m in subfactors:
-        e = gfpoly.degree(m)
-        rem = [[0] * s for _ in range(e)]
-        for block in reversed(blocks):
-            # rem * Y + block, and Y^e = -(m_0 + m_1 Y + ... + m_(e-1) Y^(e-1))
-            top = rem[-1]
-            rem = [
-                [(x - c * t) % p for x, t in zip(row, top)] if c else row
-                for row, c in zip([block] + rem[:-1], m)
-            ]
-        lifted = [0] * (e * s + 1)
-        lifted[::s] = m
-        pieces.append(gfpoly.gcd(lifted, gfpoly.trim([c for row in rem for c in row]), p))
-    if sum(map(gfpoly.degree, pieces)) != gfpoly.degree(f):
-        raise ConsistencyError(
-            f"the pieces gcd(f, m(X^{s})) do not split f: degrees sum to "
-            f"{sum(map(gfpoly.degree, pieces))}, not {gfpoly.degree(f)}"
-        )
-    return pieces
+    e = gfpoly.degree(m)
+    rem = [[0] * s for _ in range(e)]
+    for block in reversed(blocks):
+        # rem * Y + block, and Y^e = -(m_0 + m_1 Y + ... + m_(e-1) Y^(e-1))
+        top = rem[-1]
+        rem = [
+            [(x - c * t) % p for x, t in zip(row, top)] if c else row
+            for row, c in zip([block] + rem[:-1], m)
+        ]
+    lifted = [0] * (e * s + 1)
+    lifted[::s] = m
+    return gfpoly.gcd(lifted, gfpoly.trim([c for row in rem for c in row]), p)
+
+
+def _conjugate_factors(f1: list[int], k: int, p: int) -> list[list[int]]:
+    """The minimal polynomial over F_p of X^a in F_p[X]/(f1), for monic f1,
+    at the least member a of each class of (Z/k)^*/<p>.
+
+    X^e mod f1 is tabled for e = 0 .. k - 1 by one shift and reduce per
+    step, so the powers y^i = X^(a i mod k) of y = X^a are read from the
+    table, and the minimal polynomial of y is a d x (d + 1) linear solve.
+    """
+    d = gfpoly.degree(f1)
+    neg_low = [-c % p for c in f1[:d]]
+    table = []
+    x = [1] + [0] * (d - 1)
+    for _ in range(k):
+        table += x
+        top = x[-1]
+        x = [0] + x[:-1]
+        if top:
+            x = [(c + top * t) % p for c, t in zip(x, neg_low)]
+    done = bytearray(k)
+    for s in gfpoly.factorint(k):
+        done[::s] = b"\x01" * len(range(0, k, s))
+    out = []
+    for a in range(k):
+        if done[a]:
+            continue
+        i = a
+        while not done[i]:
+            done[i] = 1
+            i = i * p % k
+        cols = [table[e : e + d] for e in (a * i % k * d for i in range(d + 1))]
+        out.append(_minimal_polynomial(cols, p))
+    return out
+
+
+def _minimal_polynomial(cols: list[list[int]], p: int) -> list[int]:
+    """The monic g of least degree with sum g_i cols[i] = 0 over F_p, for
+    d + 1 vectors cols[i] = y^i of length d: the minimal polynomial of y
+    in a d-dimensional algebra.
+
+    The d x (d + 1) matrix with these columns is brought to reduced row
+    echelon form; its first column c without a pivot is then the
+    combination of the pivot columns 0 .. c - 1 read off its rows, and
+    row operations keep the linear relations among the columns.
+    """
+    rows = [list(row) for row in zip(*cols)]
+    d = len(rows)
+    for c in range(d):
+        pivot = next((i for i in range(c, d) if rows[i][c]), None)
+        if pivot is None:
+            return [-rows[i][c] % p for i in range(c)] + [1]
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = pow(rows[c][c], p - 2, p)
+        lead = rows[c] = [v * inv % p for v in rows[c]]
+        for i, row in enumerate(rows):
+            if i != c and row[c]:
+                t = row[c]
+                rows[i] = [(v - t * w) % p for v, w in zip(row, lead)]
+    return [-row[d] % p for row in rows] + [1]
 
 
 class PrimeIdealHandle:
@@ -526,10 +600,13 @@ class PrimeIdealHandle:
 
     prime_handles alone skips that division (_listed=True), for factors it
     has already found in the output of factor_cyclotomic_mod_p. Every entry
-    of that list divides Phi_k mod p: it is an output of
-    equal_degree_factor, which splits only by gcd and exact quotient, of
-    a piece gcd(Phi_k, m(X^s)), or is such a piece itself, and the pieces'
-    degrees are checked to sum to phi(k).
+    of that list divides Phi_k mod p. It is the minimal polynomial over F_p
+    of X^a, a a unit mod k, in F_p[X]/(f1), where f1 is an output of
+    equal_degree_factor on a piece gcd(Phi_k, m(X^s)). That function
+    splits only by gcd and exact quotient, so f1 divides Phi_k; having
+    degree ord_k(p), f1 is irreducible, F_p[X]/(f1) is a field, and X has
+    order k in it. So X^a has order k, is a root of Phi_k, and its minimal
+    polynomial divides Phi_k.
     """
 
     def __init__(

@@ -280,11 +280,32 @@ def equal_degree_split(f: list[int], d: int, p: int, rng: random.Random) -> list
 
 
 def equal_degree_factor(f: list[int], d: int, p: int, seed: int = 0) -> list[list[int]]:
-    """Full factorization of monic squarefree f whose irreducible factors all
-    have degree d. Deterministic for a fixed seed; output sorted by
-    coefficient tuple (low-degree first)."""
+    """Full factorization of squarefree f whose irreducible factors all
+    have degree d, made monic. Deterministic for a fixed seed; output
+    sorted by coefficient tuple (low-degree first).
+
+    Raises ValueError unless p is odd and the precondition holds, without
+    which the splitting loop need not end: d divides deg f >= 1, f divides
+    X^(p^d) - X (so f is squarefree and its factors have degrees dividing
+    d), and gcd(X^(p^(d/l)) - X, f) = 1 for each prime l | d (so none has
+    a degree that properly divides d). The powers X^(p^j) mod f come from
+    d powmods with exponent p.
+    """
+    f = monic(f, p)
+    n = degree(f)
+    if p % 2 == 0 or d < 1 or n < 1 or n % d:
+        raise ValueError(f"f of degree {n} has no factors of degree {d} to split over F_{p}")
+    x = [0, 1]
+    t = x
+    proper = {d // l for l in factorint(d)}
+    for j in range(1, d + 1):
+        t = powmod(t, p, f, p)
+        if j in proper and degree(gcd(sub(t, x, p), f, p)) > 0:
+            raise ValueError(f"f has an irreducible factor of degree dividing {j} < {d}")
+    if mod(sub(t, x, p), f, p):
+        raise ValueError(f"f does not divide X^({p}^{d}) - X")
     rng = random.Random(seed)
-    work = [monic(f, p)]
+    work = [f]
     done: list[list[int]] = []
     while work:
         g = work.pop()

@@ -76,11 +76,13 @@ def prime_handles(g: PGL2, conductor: int) -> list[PrimeIdealHandle]:
     root_relabel_map, with that key's root exponent and the key itself as
     its minimal polynomial, which the handle checks with one evaluation.
     The factors of Phi_conductor mod p from factor_cyclotomic_mod_p are an
-    independent source, and the sorted keys must equal them before any
-    handle is built. Each of those factors divides Phi_conductor mod p by
-    construction (see PrimeIdealHandle), so the handles skip their own
-    division. The list is built and checked once per group and conductor,
-    so root_relabel_map runs once per conductor too; each call returns a
+    independent source, computed in F_p[X] without the tower, and the
+    sorted keys must equal them before any handle is built. Each of those
+    factors divides Phi_conductor mod p by construction, as the minimal
+    polynomial of a root of Phi_conductor in a field F_p[X]/(f1) (see
+    PrimeIdealHandle), so the handles skip their own division. The list
+    is built and checked once per group and conductor, so
+    root_relabel_map runs once per conductor too; each call returns a
     fresh copy.
     """
     handles = g._handle_cache.get(conductor)

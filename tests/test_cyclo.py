@@ -20,7 +20,8 @@ from toric_correlator import (
     factor_cyclotomic_mod_p,
 )
 from toric_correlator import gfpoly
-from toric_correlator.cyclo import _split_conductor, _subfield_pieces
+from toric_correlator import cyclo
+from toric_correlator.cyclo import _minimal_polynomial, _split_conductor, _subfield_piece
 from toric_correlator.fields import ConsistencyError
 import polyref
 
@@ -530,27 +531,67 @@ def best_split(k, p):
     return most, -neg_j
 
 
+def subfield_pieces(f, s, subfactors, p):
+    """Reference: gcd(f, m(X^s)) for every m in subfactors; ConsistencyError
+    unless the pieces' degrees sum to deg f, the check that the m(X^s)
+    split f completely."""
+    pieces = [_subfield_piece(f, s, m, p) for m in subfactors]
+    if sum(map(gfpoly.degree, pieces)) != gfpoly.degree(f):
+        raise ConsistencyError(f"the pieces gcd(f, m(X^{s})) do not split f")
+    return pieces
+
+
+def factor_by_pieces(k, p):
+    """Reference: Phi_k mod p split into all its pieces gcd(Phi_k, m(X^(k/r))),
+    one per irreducible factor m of Phi_r mod p, r = _split_conductor(k, p),
+    and each piece factored by Cantor-Zassenhaus. The factors of Phi_r come
+    from this reference too, or are X - u for the u of order r when r | p - 1."""
+    d = residue_degree(k, p)
+    r = _split_conductor(k, p)
+    if (p - 1) % r:
+        subfactors = factor_by_pieces(r, p)
+    else:
+        subfactors = [[-u % p, 1] for u in units_of_order(r, p)]
+    phi = [c % p for c in cyclotomic_poly(k)]
+    factors = []
+    for piece in subfield_pieces(phi, k // r, subfactors, p):
+        factors += gfpoly.equal_degree_factor(piece, d, p)
+    return sorted(factors)
+
+
+def check_against_references(k, p):
+    phi = [c % p for c in cyclotomic_poly(k)]
+    d = residue_degree(k, p)
+    plain = gfpoly.equal_degree_factor(phi, d, p, seed=3)
+    assert factor_cyclotomic_mod_p(k, p) == factor_by_pieces(k, p) == plain
+    most, j = best_split(k, p)
+    r = _split_conductor(k, p)
+    assert r == math.gcd(k, p**j - 1)
+    subfactors = factor_cyclotomic_mod_p(r, p)
+    if j == 1:
+        assert subfactors == sorted([-u % p, 1] for u in units_of_order(r, p))
+    pieces = subfield_pieces(phi, k // r, subfactors, p)
+    e = residue_degree(r, p)
+    assert len(pieces) == most == totient(r) // e
+    assert all(gfpoly.degree(g) == totient(k) * e // totient(r) for g in pieces)
+
+
 @pytest.mark.parametrize("p, f", [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
                          + [(3, 2), (5, 2), (3, 3)])
 def test_factorization_by_pieces_matches_plain_edf(p, f):
     # every conductor k | q^2 - 1, q <= 31: k | p - 1 gives linear pieces,
-    # and Phi_624 mod 5 and Phi_728 mod 3 split through F_25 and F_27
+    # and Phi_624 mod 5 and Phi_728 mod 3 split through F_25 and F_27. The
+    # factors transported from one factor equal those of the all-pieces
+    # reference and of Cantor-Zassenhaus on the whole of Phi_k
     q = p**f
     for k in (k for k in range(1, q * q) if (q * q - 1) % k == 0):
-        phi = [c % p for c in cyclotomic_poly(k)]
-        d = residue_degree(k, p)
-        plain = [phi] if len(phi) == d + 1 else gfpoly.equal_degree_factor(phi, d, p, seed=3)
-        assert factor_cyclotomic_mod_p(k, p) == plain
-        most, j = best_split(k, p)
-        r = _split_conductor(k, p)
-        assert r == math.gcd(k, p**j - 1)
-        subfactors = factor_cyclotomic_mod_p(r, p)
-        if j == 1:
-            assert subfactors == sorted([-u % p, 1] for u in units_of_order(r, p))
-        pieces = _subfield_pieces(phi, k // r, subfactors, p)
-        e = residue_degree(r, p)
-        assert len(pieces) == most == totient(r) // e
-        assert all(gfpoly.degree(g) == totient(k) * e // totient(r) for g in pieces)
+        check_against_references(k, p)
+
+
+@pytest.mark.parametrize("k, p", [(288, 17), (342, 7), (360, 19)])
+def test_factorization_matches_the_references_at_q_minus_1(k, p):
+    # the principal-series conductors q - 1 of q = 289, 343 and 361
+    check_against_references(k, p)
 
 
 def test_binomial_pieces_reject_a_wrong_unit():
@@ -563,10 +604,12 @@ def test_binomial_pieces_reject_a_wrong_unit():
     def linear(units):
         return [[-u % p, 1] for u in units]
 
-    assert sum(gfpoly.degree(g) for g in _subfield_pieces(phi, 4, linear([3, 5]), p)) == 8
+    assert sum(gfpoly.degree(g) for g in subfield_pieces(phi, 4, linear([3, 5]), p)) == 8
+    # a unit of order 3 gives the piece 1
+    assert _subfield_piece(phi, 4, linear([2])[0], p) == [1]
     for wrong in ([3, 2], [3], [3, 5, 5]):
         with pytest.raises(ConsistencyError, match="do not split"):
-            _subfield_pieces(phi, 4, linear(wrong), p)
+            subfield_pieces(phi, 4, linear(wrong), p)
 
 
 def test_subfield_pieces_reject_a_wrong_factor():
@@ -576,14 +619,60 @@ def test_subfield_pieces_reject_a_wrong_factor():
     phi = [c % p for c in cyclotomic_poly(k)]
     assert _split_conductor(k, p) == 26
     cubics = factor_cyclotomic_mod_p(26, p)
-    assert [gfpoly.degree(g) for g in _subfield_pieces(phi, 28, cubics, p)] == [72] * 4
+    assert [gfpoly.degree(g) for g in subfield_pieces(phi, 28, cubics, p)] == [72] * 4
     # a cubic factor of Phi_13 has roots of order 13, so X^28 = w gives no
     # root of order 728 and its piece is 1
     (other, *_) = factor_cyclotomic_mod_p(13, p)
     assert gfpoly.degree(other) == 3 and other not in cubics
+    assert _subfield_piece(phi, 28, other, p) == [1]
     for wrong in (cubics[1:], cubics + cubics[:1], [other] + cubics[1:]):
         with pytest.raises(ConsistencyError, match="do not split"):
-            _subfield_pieces(phi, 28, wrong, p)
+            subfield_pieces(phi, 28, wrong, p)
+
+
+def _drop(fs):
+    return fs[1:]
+
+
+def _duplicate(fs):
+    return fs[:1] + fs[:-1]
+
+
+def _wrong_degree(fs):
+    return [gfpoly.mul(fs[0], [1, 1], 7)] + fs[1:]
+
+
+@pytest.mark.parametrize("alter", [_drop, _duplicate, _wrong_degree])
+def test_transported_factors_are_checked(monkeypatch, alter):
+    # Phi_48 mod 7 has eight quadratic factors; a transported list with one
+    # dropped, one twice or one of degree 3 is caught before it is cached
+    real = cyclo._conjugate_factors
+    monkeypatch.setattr(cyclo, "_FACTOR_CACHE", {})
+    monkeypatch.setattr(cyclo, "_conjugate_factors", lambda *a: alter(real(*a)))
+    with pytest.raises(ConsistencyError, match="not 8 distinct polynomials of degree 2"):
+        factor_cyclotomic_mod_p(48, 7)
+    assert cyclo._FACTOR_CACHE == {}
+
+
+def test_minimal_polynomial_finds_a_lower_degree():
+    # in F_49 = F_7[X]/(X^2 + 1): y = X has minimal polynomial X^2 + 1, and
+    # y = 3 from the prime field has X - 3, a degree the transport check rejects
+    p = 7
+    assert _minimal_polynomial([[1, 0], [0, 1], [p - 1, 0]], p) == [1, 0, 1]
+    assert _minimal_polynomial([[1, 0], [3, 0], [2, 0]], p) == [4, 1]
+    # y = 2 + 3X: y^2 = 4 + 12X + 9X^2 = -5 + 12X = 2 + 5X, and
+    # y^2 - 4y + 13 = 0, so X^2 - 4X + 13 = X^2 + 3X + 6
+    assert _minimal_polynomial([[1, 0], [2, 3], [2, 5]], p) == [6, 3, 1]
+
+
+@pytest.mark.parametrize("k, p, message", [
+    (5, 9, "odd prime"), (5, -3, "odd prime"), (5, 2, "odd prime"), (5, 1, "odd prime"),
+    (0, 3, "k must be positive"), (-4, 5, "k must be positive"), (6, 3, "must not divide"),
+])
+def test_factor_cyclotomic_mod_p_rejects_bad_input(k, p, message):
+    with pytest.raises(ValueError, match=message):
+        factor_cyclotomic_mod_p(k, p)
+    assert (k, p) not in cyclo._FACTOR_CACHE
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

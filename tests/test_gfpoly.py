@@ -95,6 +95,21 @@ def test_equal_degree_factor_splits_cyclotomic():
         assert prod == gfpoly.monic(f, p)
 
 
+@pytest.mark.parametrize("f, d, p", [
+    ([1, 0, 1], 3, 3),  # X^2 + 1: 3 does not divide the degree
+    ([1, 0, 0, 0, 1], 1, 3),  # X^4 + 1 mod 3 is two quadratics, not linears
+    ([0, 2, 1], 2, 3),  # X(X - 1): linears, not quadratics
+    ([0, 0, 1], 1, 3),  # X^2 is not squarefree
+    ([1], 1, 3),  # a constant has no factor to split
+    ([1, 0, 1], 0, 3),
+    ([1, 1, 1], 2, 2),  # Cantor-Zassenhaus needs p odd
+])
+def test_equal_degree_factor_rejects_a_failed_precondition(f, d, p):
+    # each of these once sent the splitting loop round forever
+    with pytest.raises(ValueError):
+        gfpoly.equal_degree_factor(f, d, p)
+
+
 def schoolbook_powmod(a, e, m, p):
     """Reference: square and multiply with schoolbook products and long
     division, as powmod ran before packing."""

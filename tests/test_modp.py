@@ -377,17 +377,17 @@ def test_sweep_relabels_each_conductor_once(monkeypatch):
 
 def test_second_sweep_reuses_the_cyclotomic_factors(monkeypatch):
     # factor_cyclotomic_mod_p keeps each (k, p); a fresh group of the same
-    # q splits no cyclotomic polynomial again
+    # q cuts no cyclotomic polynomial into a piece again
     import toric_correlator.cyclo as cyclo
 
     first = [r.to_json_dict() for r in sweep(PGL2(5, 2))]
     calls = []
-    real = cyclo._subfield_pieces
+    real = cyclo._subfield_piece
 
     def counting(*args):
         calls.append(args[1:])
         return real(*args)
 
-    monkeypatch.setattr(cyclo, "_subfield_pieces", counting)
+    monkeypatch.setattr(cyclo, "_subfield_piece", counting)
     assert [r.to_json_dict() for r in sweep(PGL2(5, 2))] == first
     assert calls == []
